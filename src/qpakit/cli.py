@@ -10,7 +10,8 @@ Exit codes follow the per-command contracts:
     zoo          0 ok, 3 unknown name
 
 ``QPAKIT_TOLERANCE`` and ``QPAKIT_OUTPUT`` provide environment defaults;
-explicit flags always win.  Rerunning a command on the same inputs
+explicit flags always win.  A tolerance that is not a finite number >= 0
+is an error (exit 3).  Rerunning a command on the same inputs
 produces byte-identical json/csv output.
 """
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .dfa2rpa import compile_dfa
 from .evolve import decide, recognize, result_to_dict, trace, trace_to_dict
 from .io import ParseError, load_dfa, load_qpa, save_qpa, qpa_dumps
 from .matrixlab import (
+    DEFAULT_MATRIX_TOL,
     WindowCapError,
     build_matrix,
     check_truncated_unitarity,
@@ -36,12 +38,7 @@ from .matrixlab import (
     matrix_to_text,
 )
 from .model import QpaError, StructureError, validate_structure
-from .wellformed import (
-    DEFAULT_TOL,
-    check_all,
-    check_simplified,
-    summary_to_dict,
-)
+from .wellformed import DEFAULT_TOL, check_all, summary_to_dict
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -106,14 +103,24 @@ MATRIX_SCHEMA = {
 }
 
 
-def _env_float(name: str, fallback: float) -> float:
-    raw = os.environ.get(name)
+def _tolerance(flag: str | None, fallback: float) -> float:
+    """The ``--tolerance`` flag, else ``QPAKIT_TOLERANCE``, else the fallback.
+
+    Raises ValueError unless the value is a finite number >= 0.
+    """
+    if flag is not None:
+        source, raw = "--tolerance", flag
+    else:
+        source, raw = "QPAKIT_TOLERANCE", os.environ.get("QPAKIT_TOLERANCE")
     if raw is None:
         return fallback
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        return fallback
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{source} must be a finite number >= 0, got {raw!r}")
+    return value
 
 
 def _emit(doc, as_json: bool, human_lines) -> None:
@@ -142,26 +149,14 @@ def cmd_check(args) -> int:
     if spec is None:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
-    tol = args.tolerance
     try:
-        if args.simplified:
-            reports = check_simplified(spec, tol=tol)
-            passed = not reports
-            doc = {
-                "suite": "simplified",
-                "tolerance": tol,
-                "passed": passed,
-                "worst_residual": max((r.residual for r in reports), default=0.0),
-                "total_violations": len(reports),
-                "conditions": _reports_as_conditions(reports),
-            }
-        else:
-            summary = check_all(spec, tol=tol)
-            passed = summary.passed
-            doc = summary_to_dict(summary)
-    except QpaError as exc:
+        tol = _tolerance(args.tolerance, DEFAULT_TOL)
+        summary = check_all(spec, tol=tol, suite="simplified" if args.simplified else None)
+    except (QpaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    passed = summary.passed
+    doc = summary_to_dict(summary)
     lines = []
     for cond in doc["conditions"]:
         status = "pass" if cond["passed"] else "FAIL"
@@ -173,27 +168,6 @@ def cmd_check(args) -> int:
     lines.append("result: " + ("well-formed" if passed else "NOT well-formed"))
     _emit(doc, _want_json(args), lines)
     return EXIT_OK if passed else EXIT_VIOLATIONS
-
-
-def _reports_as_conditions(reports) -> list[dict]:
-    by_id: dict[str, list] = {}
-    for r in reports:
-        by_id.setdefault(r.condition_id, []).append(r)
-    out = []
-    for cond_id in sorted(by_id):
-        reps = by_id[cond_id]
-        out.append({
-            "condition": cond_id,
-            "passed": False,
-            "worst_residual": max(r.residual for r in reps),
-            "violations": len(reps),
-            "witnesses": [
-                {"condition": r.condition_id, "witness": list(r.witness),
-                 "residual": r.residual}
-                for r in reps
-            ],
-        })
-    return out
 
 
 def _effective_threshold(value: float | None) -> float:
@@ -273,18 +247,20 @@ def cmd_batch(args) -> int:
 
 def cmd_compile_dfa(args) -> int:
     try:
+        tol = _tolerance(args.tolerance, DEFAULT_TOL)
         dfa = load_dfa(args.infile)
         rpa = compile_dfa(dfa)
-        reports = check_simplified(rpa, tol=args.tolerance)
-        if reports:
-            print(f"error: compiled table failed {len(reports)} condition checks", file=sys.stderr)
+        summary = check_all(rpa, tol=tol, suite="simplified")
+        if not summary.passed:
+            print(f"error: compiled table failed {summary.total_violations} condition checks",
+                  file=sys.stderr)
             return EXIT_ERROR
         structural = validate_structure(rpa)
         if structural:
             print(f"error: compiled table has {len(structural)} structure violations", file=sys.stderr)
             return EXIT_ERROR
         save_qpa(rpa, args.outfile)
-    except (OSError, ParseError, StructureError, QpaError) as exc:
+    except (OSError, ParseError, StructureError, QpaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     print(f"compiled {len(rpa.states)}-state reversible automaton to {args.outfile}")
@@ -297,9 +273,10 @@ def cmd_matrix(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
     try:
+        tol = _tolerance(args.tolerance, DEFAULT_MATRIX_TOL)
         window = enumerate_window(spec, args.word, args.radius)
         matrix = build_matrix(spec, window)
-    except (WindowCapError, QpaError) as exc:
+    except (WindowCapError, QpaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     doc = {"dim": matrix.dim, "word": args.word, "radius": args.radius}
@@ -307,7 +284,7 @@ def cmd_matrix(args) -> int:
              f"({len(matrix.interior_cols)} interior columns, {len(matrix.interior_rows)} interior rows)"]
     code = EXIT_OK
     if args.verify:
-        report = check_truncated_unitarity(matrix, tol=args.tolerance)
+        report = check_truncated_unitarity(matrix, tol=tol)
         doc["verify"] = {
             "col_deviation": report.col_deviation,
             "row_deviation": report.row_deviation,
@@ -359,7 +336,6 @@ def cmd_zoo(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    tol_default = _env_float("QPAKIT_TOLERANCE", DEFAULT_TOL)
     p = argparse.ArgumentParser(prog="qpakit", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
@@ -371,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("--simplified", action="store_true",
                     help="force the simplified suite regardless of kind")
-    sp.add_argument("--tolerance", type=float, default=tol_default)
+    sp.add_argument("--tolerance", default=None)
     add_common(sp)
     sp.set_defaults(fn=cmd_check)
 
@@ -398,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("compile-dfa", help="compile a DFA into a reversible automaton")
     sp.add_argument("infile")
     sp.add_argument("outfile")
-    sp.add_argument("--tolerance", type=float, default=tol_default)
+    sp.add_argument("--tolerance", default=None)
     sp.set_defaults(fn=cmd_compile_dfa)
 
     sp = sub.add_parser("matrix", help="build and inspect a truncated evolution matrix")
@@ -408,8 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--verify", action="store_true")
     sp.add_argument("--dump", default=None, metavar="PATH",
                     help="write the matrix as JSON; '-' prints a text grid")
-    sp.add_argument("--tolerance", type=float,
-                    default=_env_float("QPAKIT_TOLERANCE", 1e-8))
+    sp.add_argument("--tolerance", default=None)
     add_common(sp)
     sp.set_defaults(fn=cmd_matrix)
 

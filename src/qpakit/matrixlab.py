@@ -34,7 +34,8 @@ import scipy.sparse as sp
 from .evolve import Configuration, TapeContext, step_targets
 from .model import Direction, STACK_BASE, QpaError, QpaSpec
 
-DENSE_LIMIT = 512
+DENSE_LIMIT = 512          # dimension from which (AB)C vs A(BC) goes sparse
+GRAM_DENSE_LIMIT = 160     # dimension from which the Gram checks go sparse
 WINDOW_CAP = 10 ** 6
 DEFAULT_MATRIX_TOL = 1e-8
 
@@ -305,10 +306,11 @@ def check_truncated_unitarity(matrix: TruncatedMatrix,
     """Interior columns pairwise orthonormal and interior rows unit-norm.
 
     ``storage`` selects the dense or sparse code path; "auto" uses dense
-    below 512 and sparse above, and both paths give identical results.
+    below ``GRAM_DENSE_LIMIT`` and sparse from there on, and both paths
+    give identical results.
     """
     if storage == "auto":
-        storage = "dense" if matrix.dim < DENSE_LIMIT else "sparse"
+        storage = "dense" if matrix.dim < GRAM_DENSE_LIMIT else "sparse"
     if storage not in ("dense", "sparse"):
         raise ValueError(f"unknown storage {storage!r}")
     col_dev = _col_gram_deviation(matrix, storage)
@@ -330,7 +332,7 @@ def row_norm_bound_probe(matrix: TruncatedMatrix, tol: float = 1e-9) -> float:
     the bound only holds for isometries.
     """
     col_dev = _col_gram_deviation(
-        matrix, "dense" if matrix.dim < DENSE_LIMIT else "sparse")
+        matrix, "dense" if matrix.dim < GRAM_DENSE_LIMIT else "sparse")
     if col_dev > tol:
         raise QpaError(
             f"interior columns are not orthonormal (deviation {col_dev:.3g}); "

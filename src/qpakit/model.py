@@ -220,7 +220,8 @@ def parse_amplitude(literal: str) -> complex:
 
     Supported forms: integers, ``p/q`` fractions, ``sqrt(p/q)`` with an
     optional leading minus, plain decimals, and ``(re,im)`` pairs whose
-    components use any of the real forms.
+    components use any of the real forms.  Non-finite values (``nan``,
+    ``inf``, overflowing decimals) are rejected.
     """
     text = literal.strip()
     if text.startswith("(") and text.endswith(")") and "," in text:
@@ -228,11 +229,15 @@ def parse_amplitude(literal: str) -> complex:
         parts = body.split(",")
         if len(parts) != 2:
             raise ValueError(f"malformed amplitude pair {literal!r}")
-        return complex(_parse_real(parts[0]), _parse_real(parts[1]))
-    try:
-        return complex(_parse_real(text), 0.0)
-    except ValueError as exc:
-        raise ValueError(f"malformed amplitude literal {literal!r}") from exc
+        value = complex(_parse_real(parts[0]), _parse_real(parts[1]))
+    else:
+        try:
+            value = complex(_parse_real(text), 0.0)
+        except ValueError as exc:
+            raise ValueError(f"malformed amplitude literal {literal!r}") from exc
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise ValueError(f"non-finite amplitude {literal!r}")
+    return value
 
 
 def format_amplitude(value: complex) -> str:

@@ -22,6 +22,7 @@ deliberately not skipped.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .model import (
@@ -41,6 +42,7 @@ SIMPLIFIED_CONDITIONS = ("LPC2", "OCV2", "RVN2", "SEP_a", "SEP_b")
 
 _STAY = Direction.STAY
 _ADV = Direction.ADVANCE
+_SAME = {_STAY: _STAY, _ADV: _ADV}
 
 
 class MissingDirectionError(QpaError):
@@ -82,9 +84,17 @@ class ConditionSummary:
 
 
 class _Collector:
-    """Accumulates residuals for one condition; reports are capped, counts are not."""
+    """Accumulates residuals for one condition; reports are capped, counts are not.
+
+    A residual is a violation when it exceeds ``tol`` or is NaN.  The
+    tolerance must be finite and non-negative: only then is a tuple with
+    residual 0 never a violation, which the scans rely on when they skip
+    such tuples.
+    """
 
     def __init__(self, condition_id: str, tol: float, max_reports: int):
+        if not (math.isfinite(tol) and tol >= 0):
+            raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
         self.condition_id = condition_id
         self.tol = tol
         self.max_reports = max_reports
@@ -95,7 +105,7 @@ class _Collector:
     def add(self, witness: tuple, residual: float) -> None:
         if residual > self.worst:
             self.worst = residual
-        if residual > self.tol:
+        if not residual <= self.tol:
             self.violations += 1
             if len(self.reports) < self.max_reports:
                 self.reports.append(ConditionReport(self.condition_id, witness, residual))
@@ -173,11 +183,78 @@ def _dot(a: dict, b: dict) -> complex:
     return sum(v.conjugate() * b[k] for k, v in a.items() if k in b)
 
 
-def _omega_set(tau1: str, tau2: str) -> tuple[tuple[str, ...], ...]:
-    return ((), (tau2,), (tau1, tau2))
-
-
 # --- condition scans ----------------------------------------------------------
+#
+# A quantifier tuple whose sum has no term has residual 0, which no
+# collector counts.  OCV, SEP2 and the push-shift conditions therefore
+# index stored entries by the key a partner must match and visit only the
+# tuples with a colliding pair.  Each collector is fed those tuples sorted
+# by their place in the exhaustive loop, every sum taken in the order the
+# loop would take it, so witnesses, counts, capping and residuals are the
+# loop's to the bit.
+
+def _feed(col: _Collector, sums: dict, witness) -> None:
+    for key in sorted(sums):
+        col.add(witness(*key), abs(sums[key]))
+
+
+def _colliding_dots(left: list[dict], right: list[dict]) -> dict:
+    """``{(i, j): _dot(left[i], right[j])}`` for the column pairs that share a key."""
+    index: dict = {}
+    for j, col in enumerate(right):
+        for k in col:
+            index.setdefault(k, []).append(j)
+    return {(i, j): _dot(col, right[j])
+            for i, col in enumerate(left)
+            for j in {j for k in col for j in index.get(k, ())}}
+
+
+def _shift_sums(t: _Tables, srcs: list, dl: tuple, turns: list[dict]) -> list[tuple[dict, dict]]:
+    """Stack-shift inner products between the columns of ``srcs``.
+
+    The first column pushes one symbol fewer than its partner, which pushes
+    ``dl[t3]`` on top.  Part a pairs single against two-symbol pushes and
+    empty against single pushes; part b pairs empty pushes against
+    two-symbol pushes that re-push the partner's popped symbol.  A turn
+    maps the direction of a first-column entry to the direction its
+    partner must have.  Returns, per turn, part a and part b as
+    ``{(i1, i2, t3): sum}``.
+    """
+    t3_of = {tau: k for k, tau in enumerate(dl)}
+    by_last: dict = {}   # (q, d, last symbol) -> [(i2, t3, amp)] of two-symbol pushes
+    by_qd: dict = {}     # (q, d) -> [(i2, t3, amp)] of single pushes
+    by_tau2: dict = {}   # (q, d) -> [(i2, t3, amp)] of two-symbol pushes over tau2
+    for i2, src in enumerate(srcs):
+        for (q, d, sym), b in t.singles[src].items():
+            if sym in t3_of:
+                by_qd.setdefault((q, d), []).append((i2, t3_of[sym], b))
+        for (q, d, s0, s1), b in t.doubles[src].items():
+            if s0 in t3_of:
+                by_last.setdefault((q, d, s1), []).append((i2, t3_of[s0], b))
+            if s0 == src[2] and s1 in t3_of:
+                by_tau2.setdefault((q, d), []).append((i2, t3_of[s1], b))
+
+    def accumulate(part: dict, i1: int, a: complex, partners) -> None:
+        ca = a.conjugate()
+        for i2, t3, b in partners:
+            key = (i1, i2, t3)
+            part[key] = part.get(key, 0j) + ca * b
+
+    out = []
+    for turn in turns:
+        part_a: dict = {}
+        part_b: dict = {}
+        for i1, src in enumerate(srcs):
+            for (q, d, sym), a in t.singles[src].items():
+                if d in turn:
+                    accumulate(part_a, i1, a, by_last.get((q, turn[d], sym), ()))
+            for (q, d), a in t.eps[src].items():
+                if d in turn:
+                    accumulate(part_a, i1, a, by_qd.get((q, turn[d]), ()))
+                    accumulate(part_b, i1, a, by_tau2.get((q, turn[d]), ()))
+        out.append((part_a, part_b))
+    return out
+
 
 def _scan_local_probability(spec: QpaSpec, tol: float, max_reports: int,
                             condition_id: str) -> _Collector:
@@ -196,61 +273,48 @@ def _scan_column_orthogonality(spec: QpaSpec, tol: float, max_reports: int,
     al = spec.alphabets
     pairs = [(q, tau) for q in sorted(spec.states) for tau in al.delta_sorted()]
     for sigma in al.gamma_sorted():
-        for i in range(len(pairs)):
-            q1, tau1 = pairs[i]
-            f1 = t.full[(q1, sigma, tau1)]
-            for j in range(i + 1, len(pairs)):
-                q2, tau2 = pairs[j]
-                if not f1:
-                    col.add((q1, sigma, tau1, q2, tau2), 0.0)
-                    continue
-                f2 = t.full[(q2, sigma, tau2)]
-                inner = _dot(f1, f2) if f2 else 0.0
-                col.add((q1, sigma, tau1, q2, tau2), abs(inner))
+        cols = [t.full[(q, sigma, tau)] for q, tau in pairs]
+        dots = _colliding_dots(cols, cols)
+        _feed(col, {(i, j): v for (i, j), v in dots.items() if j > i},
+              lambda i, j: (pairs[i][0], sigma, pairs[i][1]) + pairs[j])
     return col
 
 
-def _row_sum(t: _Tables, q1: str, sigma_adv: str, sigma_stay: str,
-             tau1: str, tau2: str) -> float:
-    omegas = _omega_set(tau1, tau2)
-    a = t.adv_in.get((q1, sigma_adv))
-    b = t.stay_in.get((q1, sigma_stay))
-    s = 0.0
-    if a:
-        for w in omegas:
-            s += a.get(w, 0.0)
-    if b:
-        for w in omegas:
-            s += b.get(w, 0.0)
-    return s
+def _scan_row_norm(spec: QpaSpec, tol: float, max_reports: int,
+                   condition_id: str) -> _Collector:
+    """RVN over every (advancing, staying) tape symbol pair; RVN2 over equal ones.
 
-
-def _scan_row_norm(spec: QpaSpec, tol: float, max_reports: int) -> _Collector:
+    A row sums the empty, single and double push terms of its advancing
+    sources, then those of its staying sources.  The advancing half is
+    summed once per (state, tape symbol) and the staying terms are added
+    to it one by one, which is the order the row sum has always used.
+    """
     t = _tables(spec)
-    col = _Collector("RVN", tol, max_reports)
+    col = _Collector(condition_id, tol, max_reports)
     al = spec.alphabets
     gam = al.gamma_sorted()
     dl = al.delta_sorted()
+    simplified = condition_id == "RVN2"
+
+    taus = [(tau1, tau2) for tau1 in dl for tau2 in dl]
+    zeros = [(0.0, 0.0, 0.0)] * len(taus)
+
+    def terms(b: dict | None) -> list[tuple[float, float, float]]:
+        if not b:
+            return zeros
+        return [(b.get((), 0.0), b.get((tau2,), 0.0), b.get((tau1, tau2), 0.0))
+                for tau1, tau2 in taus]
+
     for q1 in sorted(spec.states):
+        stay = {s: terms(t.stay_in.get((q1, s))) for s in gam}
         for s1 in gam:
-            for s2 in gam:
-                for tau1 in dl:
-                    for tau2 in dl:
-                        s = _row_sum(t, q1, s1, s2, tau1, tau2)
-                        col.add((q1, s1, s2, tau1, tau2), abs(s - 1.0))
-    return col
-
-
-def _scan_row_norm_simplified(spec: QpaSpec, tol: float, max_reports: int) -> _Collector:
-    t = _tables(spec)
-    col = _Collector("RVN2", tol, max_reports)
-    al = spec.alphabets
-    for q1 in sorted(spec.states):
-        for s1 in al.gamma_sorted():
-            for tau1 in al.delta_sorted():
-                for tau2 in al.delta_sorted():
-                    s = _row_sum(t, q1, s1, s1, tau1, tau2)
-                    col.add((q1, s1, tau1, tau2), abs(s - 1.0))
+            adv = [a0 + a1 + a2 for a0, a1, a2 in terms(t.adv_in.get((q1, s1)))]
+            for s2 in (s1,) if simplified else gam:
+                head = (q1, s1) if simplified else (q1, s1, s2)
+                for tt, a, (b0, b1, b2) in zip(taus, adv, stay[s2]):
+                    r = abs(a + b0 + b1 + b2 - 1.0)
+                    if r:
+                        col.add(head + tt, r)
     return col
 
 
@@ -272,34 +336,9 @@ def _scan_sep_shared_sigma(spec: QpaSpec, tol: float, max_reports: int,
     dl = al.delta_sorted()
     for sigma in al.gamma_sorted():
         srcs = [(q, sigma, tau) for q in states for tau in dl]
-        for src1 in srcs:
-            singles1 = t.singles[src1]
-            eps1 = t.eps[src1]
-            for src2 in srcs:
-                doubles2 = t.doubles[src2]
-                singles2 = t.singles[src2]
-                tau2 = src2[2]
-                for tau3 in dl:
-                    wit = (src1[0], sigma, src1[2], src2[0], src2[2], tau3)
-                    s = 0.0 + 0.0j
-                    if singles1 and doubles2:
-                        for (q, d, sym), amp in singles1.items():
-                            other = doubles2.get((q, d, tau3, sym))
-                            if other is not None:
-                                s += amp.conjugate() * other
-                    if eps1 and singles2:
-                        for (q, d), amp in eps1.items():
-                            other = singles2.get((q, d, tau3))
-                            if other is not None:
-                                s += amp.conjugate() * other
-                    col_a.add(wit, abs(s))
-                    sb = 0.0 + 0.0j
-                    if eps1 and doubles2:
-                        for (q, d), amp in eps1.items():
-                            other = doubles2.get((q, d, tau2, tau3))
-                            if other is not None:
-                                sb += amp.conjugate() * other
-                    col_b.add(wit, abs(sb))
+        for col, sums in zip((col_a, col_b), _shift_sums(t, srcs, dl, [_SAME])[0]):
+            _feed(col, sums, lambda i1, i2, t3:
+                  (srcs[i1][0], sigma, srcs[i1][2], srcs[i2][0], srcs[i2][2], dl[t3]))
     return col_a, col_b
 
 
@@ -316,56 +355,14 @@ def _scan_sep_mixed(spec: QpaSpec, tol: float, max_reports: int
     col3b = _Collector("SEP3b", tol, max_reports)
     dl = spec.alphabets.delta_sorted()
     srcs = t.sources
-    for src1 in srcs:
-        stay1 = t.stay_w[src1]
-        for src2 in srcs:
-            if stay1:
-                adv2 = t.adv_w[src2]
-                inner = _dot(stay1, adv2) if adv2 else 0.0
-                col2.add(src1 + src2, abs(inner))
-            else:
-                col2.add(src1 + src2, 0.0)
+    dots = _colliding_dots([t.stay_w[s] for s in srcs], [t.adv_w[s] for s in srcs])
+    _feed(col2, dots, lambda i, j: srcs[i] + srcs[j])
     dir_pairs = ((_STAY, _ADV), (_ADV, _STAY))
-    for src1 in srcs:
-        singles1 = t.singles[src1]
-        eps1 = t.eps[src1]
-        quiet = not singles1 and not eps1
-        for src2 in srcs:
-            doubles2 = t.doubles[src2]
-            singles2 = t.singles[src2]
-            tau2 = src2[2]
-            for tau3 in dl:
-                for d1, d2 in dir_pairs:
-                    wit = src1 + src2 + (tau3, d1.value)
-                    if quiet:
-                        col3a.add(wit, 0.0)
-                        col3b.add(wit, 0.0)
-                        continue
-                    s = 0.0 + 0.0j
-                    if singles1 and doubles2:
-                        for (q, d, sym), amp in singles1.items():
-                            if d is not d1:
-                                continue
-                            other = doubles2.get((q, d2, tau3, sym))
-                            if other is not None:
-                                s += amp.conjugate() * other
-                    if eps1 and singles2:
-                        for (q, d), amp in eps1.items():
-                            if d is not d1:
-                                continue
-                            other = singles2.get((q, d2, tau3))
-                            if other is not None:
-                                s += amp.conjugate() * other
-                    col3a.add(wit, abs(s))
-                    sb = 0.0 + 0.0j
-                    if eps1 and doubles2:
-                        for (q, d), amp in eps1.items():
-                            if d is not d1:
-                                continue
-                            other = doubles2.get((q, d2, tau2, tau3))
-                            if other is not None:
-                                sb += amp.conjugate() * other
-                    col3b.add(wit, abs(sb))
+    by_pair = _shift_sums(t, srcs, dl, [{d1: d2} for d1, d2 in dir_pairs])
+    for part, col in enumerate((col3a, col3b)):
+        sums = {key + (k,): v for k, pair in enumerate(by_pair) for key, v in pair[part].items()}
+        _feed(col, sums, lambda i1, i2, t3, k:
+              srcs[i1] + srcs[i2] + (dl[t3], dir_pairs[k][0].value))
     return col2, col3a, col3b
 
 
@@ -391,15 +388,15 @@ def check_row_norm(spec: QpaSpec, tol: float = DEFAULT_TOL,
     advancing sources, the tape symbol read by its staying sources, and
     the last two symbols of the target stack.
     """
-    return list(_scan_row_norm(spec, tol, max_reports).reports)
+    return list(_scan_row_norm(spec, tol, max_reports, "RVN").reports)
 
 
 def check_separability(spec: QpaSpec, tol: float = DEFAULT_TOL,
                        max_reports: int = DEFAULT_MAX_REPORTS) -> list[ConditionReport]:
     """All five separability sums for a general table."""
-    a, b = _scan_sep_shared_sigma(spec, tol, max_reports, "SEP1a", "SEP1b")
-    c2, c3a, c3b = _scan_sep_mixed(spec, tol, max_reports)
-    return list(a.reports) + list(b.reports) + list(c2.reports) + list(c3a.reports) + list(c3b.reports)
+    cols = (*_scan_sep_shared_sigma(spec, tol, max_reports, "SEP1a", "SEP1b"),
+            *_scan_sep_mixed(spec, tol, max_reports))
+    return [rep for c in cols for rep in c.reports]
 
 
 def _require_direction(spec: QpaSpec) -> None:
@@ -412,73 +409,54 @@ def _require_direction(spec: QpaSpec) -> None:
 
 def check_simplified(spec: QpaSpec, tol: float = DEFAULT_TOL,
                      max_reports: int = DEFAULT_MAX_REPORTS) -> list[ConditionReport]:
-    """The five-condition suite for direction-per-state tables."""
-    _require_direction(spec)
-    cols = _simplified_collectors(spec, tol, max_reports)
-    out: list[ConditionReport] = []
-    for c in cols:
-        out.extend(c.reports)
-    return out
+    """The five-condition suite for direction-per-state tables, as one report list."""
+    summary = check_all(spec, tol, max_reports, suite="simplified")
+    return [rep for r in summary.results for rep in r.reports]
 
 
-def _simplified_collectors(spec: QpaSpec, tol: float, max_reports: int) -> list[_Collector]:
-    a, b = _scan_sep_shared_sigma(spec, tol, max_reports, "SEP_a", "SEP_b")
-    return [
-        _scan_local_probability(spec, tol, max_reports, "LPC2"),
-        _scan_column_orthogonality(spec, tol, max_reports, "OCV2"),
-        _scan_row_norm_simplified(spec, tol, max_reports),
-        a,
-        b,
-    ]
-
-
-def _general_collectors(spec: QpaSpec, tol: float, max_reports: int) -> list[_Collector]:
-    a, b = _scan_sep_shared_sigma(spec, tol, max_reports, "SEP1a", "SEP1b")
-    c2, c3a, c3b = _scan_sep_mixed(spec, tol, max_reports)
-    return [
-        _scan_local_probability(spec, tol, max_reports, "LPC"),
-        _scan_column_orthogonality(spec, tol, max_reports, "OCV"),
-        _scan_row_norm(spec, tol, max_reports),
-        a,
-        b,
-        c2,
-        c3a,
-        c3b,
-    ]
+def _collectors(spec: QpaSpec, tol: float, max_reports: int, suite: str) -> list[_Collector]:
+    if suite == "simplified":
+        _require_direction(spec)
+        return [_scan_local_probability(spec, tol, max_reports, "LPC2"),
+                _scan_column_orthogonality(spec, tol, max_reports, "OCV2"),
+                _scan_row_norm(spec, tol, max_reports, "RVN2"),
+                *_scan_sep_shared_sigma(spec, tol, max_reports, "SEP_a", "SEP_b")]
+    return [_scan_local_probability(spec, tol, max_reports, "LPC"),
+            _scan_column_orthogonality(spec, tol, max_reports, "OCV"),
+            _scan_row_norm(spec, tol, max_reports, "RVN"),
+            *_scan_sep_shared_sigma(spec, tol, max_reports, "SEP1a", "SEP1b"),
+            *_scan_sep_mixed(spec, tol, max_reports)]
 
 
 def check_all(spec: QpaSpec, tol: float = DEFAULT_TOL,
-              max_reports: int = DEFAULT_MAX_REPORTS) -> ConditionSummary:
-    """Run the suite matching the spec kind and fold into one summary.
+              max_reports: int = DEFAULT_MAX_REPORTS,
+              suite: str | None = None) -> ConditionSummary:
+    """Run one suite and fold it into one summary.
 
-    Summaries are immutable and memoized on the spec per
-    ``(tol, max_reports)``, like the tables they are computed from.
+    ``suite`` is ``"general"`` or ``"simplified"``; by default it is the
+    spec kind's (simplified for simplified and reversible tables).  The
+    tolerance must be finite and non-negative.  Summaries are immutable
+    and memoized on the spec per ``(tol, max_reports, suite)``, like the
+    tables they are computed from.
     """
+    if suite is None:
+        suite = "simplified" if spec.kind in (KIND_SIMPLIFIED, KIND_REVERSIBLE) else "general"
+    if suite not in ("general", "simplified"):
+        raise ValueError(f"unknown suite {suite!r}")
     memo = getattr(spec, "_wf_summaries", None)
     if memo is None:
         memo = {}
         object.__setattr__(spec, "_wf_summaries", memo)
-    key = (tol, max_reports)
+    key = (type(tol), tol, max_reports, suite)     # 0 and 0.0 print differently
     if key not in memo:
-        memo[key] = _check_all(spec, tol, max_reports)
+        results = tuple(c.result() for c in _collectors(spec, tol, max_reports, suite))
+        total = sum(r.violations for r in results)
+        memo[key] = ConditionSummary(
+            suite=suite, tolerance=tol, results=results, passed=total == 0,
+            worst_residual=max((r.worst_residual for r in results), default=0.0),
+            total_violations=total,
+        )
     return memo[key]
-
-
-def _check_all(spec: QpaSpec, tol: float, max_reports: int) -> ConditionSummary:
-    if spec.kind in (KIND_SIMPLIFIED, KIND_REVERSIBLE):
-        _require_direction(spec)
-        collectors = _simplified_collectors(spec, tol, max_reports)
-        suite = "simplified"
-    else:
-        collectors = _general_collectors(spec, tol, max_reports)
-        suite = "general"
-    results = tuple(c.result() for c in collectors)
-    worst = max((r.worst_residual for r in results), default=0.0)
-    total = sum(r.violations for r in results)
-    return ConditionSummary(
-        suite=suite, tolerance=tol, results=results,
-        passed=total == 0, worst_residual=worst, total_violations=total,
-    )
 
 
 def as_general(spec: QpaSpec) -> QpaSpec:

@@ -6,7 +6,7 @@ import pytest
 
 from qpakit import zoo
 from qpakit.cli import CHECK_SCHEMA, RUN_SCHEMA, MATRIX_SCHEMA, main
-from qpakit.io import load_qpa, save_dfa, save_qpa
+from qpakit.io import load_qpa, qpa_dumps, save_dfa, save_qpa
 from qpakit.model import DfaSpec
 
 
@@ -246,3 +246,92 @@ class TestEnvironmentOverrides:
         assert main(["run", files["l1"], "1"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["decision"] == "accepted"
+
+
+def _scaled_l5(path, factor=0.9):
+    """l5 with every amplitude multiplied by ``factor``: columns and rows lose mass."""
+    from qpakit.model import format_amplitude, parse_amplitude
+    doc = json.loads(qpa_dumps(zoo.fixture_specs()["l5"]))
+    for t in doc["transitions"]:
+        t["amp"] = format_amplitude(factor * parse_amplitude(t["amp"]))
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+class TestToleranceArguments:
+    BAD = ["nan", "inf", "-1", "-inf", "abc"]
+
+    def _argv(self, command, files, tmp_path):
+        return {
+            "check": ["check", files["l2"]],
+            "compile-dfa": ["compile-dfa", files["dfa"], str(tmp_path / "out.json")],
+            "matrix": ["matrix", files["l2"], "--radius", "1", "--verify"],
+        }[command]
+
+    @pytest.mark.parametrize("command", ["check", "compile-dfa", "matrix"])
+    @pytest.mark.parametrize("value", BAD)
+    def test_bad_flag_exits_three(self, command, value, files, tmp_path, capsys):
+        assert main(self._argv(command, files, tmp_path) + [f"--tolerance={value}"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--tolerance" in err
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("command", ["check", "compile-dfa", "matrix"])
+    @pytest.mark.parametrize("value", BAD)
+    def test_bad_environment_exits_three(self, command, value, files, tmp_path, capsys,
+                                         monkeypatch):
+        monkeypatch.setenv("QPAKIT_TOLERANCE", value)
+        assert main(self._argv(command, files, tmp_path)) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "QPAKIT_TOLERANCE" in err
+
+    def test_flag_wins_over_bad_environment(self, files, capsys, monkeypatch):
+        monkeypatch.setenv("QPAKIT_TOLERANCE", "nan")
+        assert main(["check", files["l2"], "--tolerance", "1e-9"]) == 0
+
+    def test_zero_tolerance_accepted(self, files, capsys):
+        assert main(["check", files["l2"], "--tolerance", "0"]) == 0
+        assert main(["check", files["nonunitary"], "--tolerance", "0"]) == 2
+
+
+class TestNonFiniteTables:
+    def test_nan_amplitude_exits_three(self, tmp_path, capsys):
+        doc = json.loads(qpa_dumps(zoo.fixture_specs()["l5"]))
+        doc["transitions"][0]["amp"] = "nan"
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["check", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "non-finite amplitude" in err
+
+
+class TestSimplifiedSummary:
+    def test_scaled_l5_counts_every_violation(self, tmp_path, capsys):
+        path = _scaled_l5(tmp_path / "l5-scaled.json")
+        assert main(["check", path, "--simplified", "--json"]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        jsonschema.validate(doc, CHECK_SCHEMA)
+        assert doc["suite"] == "simplified"
+        assert doc["total_violations"] == 960
+        by_id = {c["condition"]: c for c in doc["conditions"]}
+        assert list(by_id) == ["LPC2", "OCV2", "RVN2", "SEP_a", "SEP_b"]
+        assert by_id["LPC2"]["violations"] == 240
+        assert by_id["RVN2"]["violations"] == 720
+        assert len(by_id["RVN2"]["witnesses"]) == 100
+        for cid in ("OCV2", "SEP_a", "SEP_b"):
+            assert by_id[cid]["passed"] and by_id[cid]["violations"] == 0
+        assert doc["worst_residual"] == pytest.approx(0.19)
+
+    def test_simplified_flag_matches_default_on_a_simplified_table(self, tmp_path, capsys):
+        path = _scaled_l5(tmp_path / "l5-scaled.json")
+        main(["check", path, "--json"])
+        default = capsys.readouterr().out
+        main(["check", path, "--simplified", "--json"])
+        assert capsys.readouterr().out == default
+
+    def test_compile_dfa_reports_uncapped_total(self, files, tmp_path, capsys, monkeypatch):
+        import qpakit.cli as cli
+        broken = load_qpa(_scaled_l5(tmp_path / "l5-scaled.json"))
+        monkeypatch.setattr(cli, "compile_dfa", lambda dfa: broken)
+        assert main(["compile-dfa", files["dfa"], str(tmp_path / "out.json")]) == 3
+        assert "failed 960 condition checks" in capsys.readouterr().err

@@ -119,6 +119,16 @@ class TestDocumentValidation:
         spec = qpa_from_dict(doc)
         assert spec.delta == {}
 
+    @pytest.mark.parametrize("amp", ["nan", "inf", "(0,nan)"])
+    def test_non_finite_amplitude_rejected(self, amp):
+        doc = self._minimal()
+        doc["transitions"] = [{
+            "from": "q", "input": "a", "stack_top": "1", "to": "q",
+            "dir": "advance", "push": "1", "amp": amp,
+        }]
+        with pytest.raises(ParseError, match="transition 0: non-finite amplitude"):
+            qpa_loads(json.dumps(doc))
+
     def test_duplicate_keys_rejected(self):
         doc = self._minimal()
         entry = {

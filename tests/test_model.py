@@ -47,6 +47,12 @@ class TestAmplitudeLiterals:
         for z in (complex(1, 0), complex(-0.5, 0.25), complex(math.sqrt(2 / 7), 0)):
             assert parse_amplitude(format_amplitude(z)) == z
 
+    @pytest.mark.parametrize("literal", ["nan", "-nan", "inf", "-inf", "1e999", "sqrt(inf)",
+                                         "(nan,0)", "(0,inf)", "(1/2,1e400)"])
+    def test_non_finite_rejected(self, literal):
+        with pytest.raises(ValueError, match="non-finite"):
+            parse_amplitude(literal)
+
 
 class TestPushWords:
     def test_base_pop(self):

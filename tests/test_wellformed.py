@@ -211,3 +211,84 @@ class TestCheckAll:
         lpc = summary.result("LPC")
         assert lpc.violations == 4 * 5 * 3
         assert len(lpc.reports) == 5
+
+
+class TestToleranceValidation:
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-12])
+    @pytest.mark.parametrize("check", [
+        check_all, check_local_probability, check_column_orthogonality,
+        check_row_norm, check_separability, check_simplified,
+    ])
+    def test_rejected(self, check, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            check(zoo.l2_rpa().spec, tol=tol)
+
+    def test_zero_accepted(self):
+        # an exact table passes at tolerance 0; the nonunitary one fails
+        assert check_all(zoo.l2_rpa().spec, tol=0.0).passed
+        assert not check_all(zoo.nonunitary_example(), tol=0).passed
+
+
+class TestNonFiniteAmplitudes:
+    def _copy_machine(self, amp):
+        return make_spec(
+            sigma={"a"}, t={"1"}, states={"q"}, q0="q", q_acc=(), q_rej=(),
+            entries=[("q", s, tau, "q", ADV, (tau,), amp if (s, tau) == ("a", "1") else 1.0)
+                     for s in ("#", "$", "a") for tau in ("Z0", "1")],
+        )
+
+    def test_clean_copy_machine_passes(self):
+        assert check_all(self._copy_machine(1.0)).passed
+
+    @pytest.mark.parametrize("amp", [complex(math.nan, 0.0), complex(0.0, math.nan),
+                                     complex(math.inf, 0.0)])
+    def test_non_finite_entry_fails(self, amp):
+        summary = check_all(self._copy_machine(amp))
+        assert not summary.passed
+        lpc = summary.result("LPC")
+        assert lpc.violations == 1
+        assert lpc.reports[0].witness == ("q", "a", "1")
+
+    def test_nan_residual_is_a_violation_at_any_tolerance(self):
+        reports = check_local_probability(self._copy_machine(complex(math.nan, 0.0)), tol=1e6)
+        assert len(reports) == 1 and math.isnan(reports[0].residual)
+
+
+class TestSuiteArgument:
+    def test_default_is_the_kind_suite(self):
+        spec = zoo.l2_rpa().spec
+        assert check_all(spec).suite == "simplified"
+        assert check_all(spec, suite="simplified") is check_all(spec)
+        assert check_all(as_general(spec)).suite == "general"
+
+    def test_general_suite_on_a_simplified_spec(self):
+        spec = zoo.l3_qpa().spec
+        forced = check_all(spec, suite="general")
+        assert forced.suite == "general"
+        assert forced == check_all(as_general(spec))
+
+    def test_simplified_suite_needs_directions(self):
+        with pytest.raises(MissingDirectionError):
+            check_all(zoo.nonunitary_example(), suite="simplified")
+
+    def test_unknown_suite(self):
+        with pytest.raises(ValueError, match="suite"):
+            check_all(zoo.l2_rpa().spec, suite="partial")
+
+    def test_check_simplified_lists_the_summary_reports(self):
+        spec = make_spec(
+            sigma={"a"}, t={"1"}, states={"q"}, q0="q", q_acc=(), q_rej=(),
+            entries=[("q", "a", "1", "q", ADV, ("1",), math.sqrt(0.5))],
+            kind="simplified", directions={"q": ADV},
+        )
+        summary = check_all(spec, max_reports=3, suite="simplified")
+        reports = check_simplified(spec, max_reports=3)
+        assert reports == [rep for r in summary.results for rep in r.reports]
+        assert len(reports) < summary.total_violations
+
+
+def test_memo_keeps_int_and_float_tolerances_apart():
+    spec = zoo.nonunitary_example()
+    assert check_all(spec, tol=0).tolerance == 0
+    assert type(check_all(spec, tol=0.0).tolerance) is float
+    assert type(check_all(spec, tol=0).tolerance) is int

@@ -26,7 +26,7 @@ from pathlib import Path
 
 from . import zoo
 from .dfa2rpa import compile_dfa
-from .evolve import decide, recognize, result_to_dict, trace, trace_to_dict
+from .evolve import _fold, decide, recognize, result_to_dict, trace_to_dict
 from .io import ParseError, load_dfa, load_qpa, save_qpa, qpa_dumps
 from .matrixlab import (
     DEFAULT_MATRIX_TOL,
@@ -183,9 +183,9 @@ def cmd_run(args) -> int:
         return EXIT_ERROR
     threshold = _effective_threshold(args.threshold)
     try:
-        result = recognize(spec, args.word, max_steps=args.max_steps, force=args.force)
+        steps = [] if args.trace else None
+        result = _fold(spec, args.word, max_steps=args.max_steps, force=args.force, trace_out=steps)
         verdict = decide(result, threshold)
-        steps = trace(spec, args.word, max_steps=args.max_steps, force=args.force) if args.trace else None
     except (QpaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

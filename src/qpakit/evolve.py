@@ -10,11 +10,20 @@ never renormalized, so the three numbers stay additive.
 Probabilities come from exact path summation over the sparse amplitude
 map, not sampling; for the bounded runs this package targets the
 reachable configuration sets are small.
+
+Runs work on integers.  The spec is compiled once into integer rows,
+each run interns its stacks in a trie (hash-consing: a pop is the
+parent node, a push a child lookup) and a configuration is one int
+packing (stack id, head, state), so a step costs the same at any stack
+depth.  ``Configuration`` and ``Superposition.amplitudes`` are the
+public view, built only when asked for.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .io import tokenize_word
 from .model import (
@@ -56,10 +65,13 @@ class TapeContext:
 
     @classmethod
     def from_word(cls, spec: QpaSpec, word) -> "TapeContext":
-        syms = tokenize_word(spec.alphabets, word) if isinstance(word, str) else tuple(word)
-        for s in syms:
-            if s not in spec.alphabets.sigma:
-                raise QpaError(f"{s!r} is not an input symbol")
+        if isinstance(word, str):
+            syms = tokenize_word(spec.alphabets, word)
+        else:
+            syms = tuple(word)
+            for s in syms:
+                if s not in spec.alphabets.sigma:
+                    raise QpaError(f"{s!r} is not an input symbol")
         return cls((LEFT_MARKER, *syms, RIGHT_MARKER))
 
     def __len__(self) -> int:
@@ -73,14 +85,177 @@ class Configuration:
     stack: tuple[str, ...]
 
 
-@dataclass
-class Superposition:
-    """Sparse complex amplitude map over configurations."""
+class _Table:
+    """A spec compiled to integer ids; built once and cached on the spec.
 
-    amplitudes: dict[Configuration, complex]
+    ``rows[tape id][state id]`` maps a top-of-stack id to the entries
+    ``(advance << qbits | target id, pops, pushed ids, amplitude,
+    keeps base)``, in ``by_source`` order.  A push word that starts with
+    the popped symbol leaves that symbol in place and pushes the rest.
+    ``keeps base`` says whether the entry leaves a stack that starts
+    with the base symbol with that prefix and no second base symbol.
+    """
+
+    def __init__(self, spec: QpaSpec):
+        src = spec.by_source()
+        entries = [(q1, sigma, tau, q, omega) for (q1, sigma, tau), row in src.items()
+                   for q, _, omega, _ in row]
+        self.states = sorted(spec.states | {spec.q0} | {e[0] for e in entries} | {e[3] for e in entries})
+        self.state_id = {q: i for i, q in enumerate(self.states)}
+        self.qbits = (len(self.states) - 1).bit_length()
+        self.tape_id = {s: i for i, s in enumerate(spec.alphabets.gamma_sorted())}
+        self.syms = sorted(spec.alphabets.delta_alpha | {e[2] for e in entries}
+                           | {s for e in entries for s in e[4]})
+        self.sym_id = {s: i for i, s in enumerate(self.syms)}
+        self.sym_bits = len(self.syms).bit_length()
+        self.rows = [[None] * (1 << self.qbits) for _ in self.tape_id]
+        for (q1, sigma, tau), row in src.items():
+            if sigma not in self.tape_id:
+                continue
+            by_top = self.rows[self.tape_id[sigma]][self.state_id[q1]]
+            if by_top is None:
+                by_top = self.rows[self.tape_id[sigma]][self.state_id[q1]] = {}
+            by_top[self.sym_id[tau]] = tuple(self._entry(tau, *e) for e in row)
+
+    def _entry(self, tau, q, d, omega, amp):
+        keeps = bool(omega) and omega[0] == tau
+        if tau == STACK_BASE:
+            based = bool(omega) and omega[0] == STACK_BASE and STACK_BASE not in omega[1:]
+        else:
+            based = STACK_BASE not in omega
+        return ((int(d is Direction.ADVANCE) << self.qbits) | self.state_id[q], not keeps,
+                tuple(self.sym_id[s] for s in omega[keeps:]), amp, based)
+
+
+def _outcome(state: str, q_accept, q_reject) -> int:
+    """1 accepting, 2 rejecting, 0 non-halting; accepting wins an overlap."""
+    return 1 if state in q_accept else 2 if state in q_reject else 0
+
+
+def _table(spec: QpaSpec) -> _Table:
+    table = getattr(spec, "_int_table", None)
+    if table is None:
+        table = _Table(spec)
+        object.__setattr__(spec, "_int_table", table)
+    return table
+
+
+class _Run:
+    """One spec on one tape: row lookup by packed (head, state) and the stack store.
+
+    A key is ``stack id << hshift | head << qbits | state id``.  The
+    stack store is a trie over interned stacks: node 0 is the empty
+    stack, ``parent``/``top`` give a node's stack minus its top and the
+    top's symbol id, and ``child`` maps ``node << sym_bits | symbol`` to
+    the node one symbol higher.  Nodes are never freed during a run, so
+    a key stays valid after its superposition is gone.
+    """
+
+    def __init__(self, spec: QpaSpec, tape: TapeContext):
+        self.spec = spec
+        self.tape = tape
+        self.table = table = _table(spec)
+        self.qbits = table.qbits
+        self.hshift = table.qbits + len(tape).bit_length()
+        self.hq_max = ((len(tape) - 1) << table.qbits) | ((1 << table.qbits) - 1)
+        rows = []
+        no_rows = [None] * (1 << table.qbits)
+        for s in tape.symbols:
+            tid = table.tape_id.get(s)
+            rows += no_rows if tid is None else table.rows[tid]
+        self.parent = [-1]
+        self.top = [-1]
+        self.child: dict[int, int] = {}
+        self._tuples: dict[int, tuple[str, ...]] = {0: ()}
+        hq_mask = (1 << self.hshift) - 1
+        # everything apply_evolution reads, unpacked in one go per step
+        self.step_ctx = (rows, self.top, self.parent, self.child, self.hshift, self.hq_max,
+                         table.sym_bits, hq_mask, hq_mask & ~((1 << table.qbits) - 1))
+        self.set_halting(spec.q_accept, spec.q_reject)
+
+    def set_halting(self, q_accept, q_reject) -> None:
+        """Classify state ids for ``measure``: ``by_state[id]`` is an ``_outcome``."""
+        self.q_accept = q_accept
+        self.q_reject = q_reject
+        self.by_state = [_outcome(q, q_accept, q_reject) for q in self.table.states]
+
+    def push(self, sid: int, sym: int) -> int:
+        k = (sid << self.table.sym_bits) | sym
+        c = self.child.get(k)
+        if c is None:
+            c = self.child[k] = len(self.parent)
+            self.parent.append(sid)
+            self.top.append(sym)
+        return c
+
+    def stack(self, sid: int) -> tuple[str, ...]:
+        path = []
+        t = self._tuples.get(sid)
+        while t is None:
+            path.append(sid)
+            sid = self.parent[sid]
+            t = self._tuples.get(sid)
+        for s in reversed(path):
+            t = self._tuples[s] = t + (self.table.syms[self.top[s]],)
+        return t
+
+    def key(self, config: Configuration) -> int:
+        table = self.table
+        q = table.state_id.get(config.state)
+        if q is None or not 0 <= config.head < len(self.tape):
+            raise QpaError(f"{config} is not a configuration of this automaton on this tape")
+        if not config.stack or config.stack[0] != STACK_BASE or STACK_BASE in config.stack[1:]:
+            raise QpaError(f"{config} does not hold exactly one {STACK_BASE}, at the bottom")
+        sid = 0
+        for s in config.stack:
+            if s not in table.sym_id:
+                raise QpaError(f"{config} holds {s!r}, which is not a stack symbol")
+            sid = self.push(sid, table.sym_id[s])
+        return (sid << self.hshift) | (config.head << self.qbits) | q
+
+    def config(self, key: int) -> Configuration:
+        return Configuration(self.table.states[key & ((1 << self.qbits) - 1)],
+                             (key & ((1 << self.hshift) - 1)) >> self.qbits,
+                             self.stack(key >> self.hshift))
+
+    def step_error(self, key: int, alpha: complex, entries) -> QpaError:
+        """The error of a configuration whose entries overrun the tape or lose the base."""
+        hb = key & ((1 << self.hshift) - 1) & ~((1 << self.qbits) - 1)
+        if all(based or hb + dhq > self.hq_max for dhq, _, _, _, based in entries):
+            return TapeOverrunError(
+                f"advance past the end marker from {self.config(key)} (amplitude {alpha!r})")
+        return QpaError(f"a transition from {self.config(key)} leaves a stack without "
+                        f"its {STACK_BASE} base (amplitude {alpha!r})")
+
+
+class Superposition:
+    """Sparse complex amplitude map over configurations.
+
+    Built from a ``{Configuration: amplitude}`` dict by callers, or by a
+    run over packed integer keys.  ``amplitudes`` is the caller's dict in
+    the first case; in the second it is a read-only configuration view,
+    built once on first use.
+    """
+
+    __slots__ = ("_run", "_packed", "_view")
+
+    def __init__(self, amplitudes: dict[Configuration, complex]):
+        self._run = None
+        self._packed = None
+        self._view = amplitudes
+
+    @property
+    def amplitudes(self) -> Mapping[Configuration, complex]:
+        if self._view is None:
+            self._view = MappingProxyType(
+                {self._run.config(k): a for k, a in self._packed.items()})
+        return self._view
+
+    def _map(self) -> dict:
+        return self._view if self._run is None else self._packed
 
     def norm_squared(self) -> float:
-        return sum((abs(a) ** 2 for a in self.amplitudes.values()), 0.0)
+        return sum((abs(a) ** 2 for a in self._map().values()), 0.0)
 
     def sorted_items(self) -> list[tuple[Configuration, complex]]:
         return sorted(self.amplitudes.items(), key=lambda kv: kv[0])
@@ -89,7 +264,23 @@ class Superposition:
         return self.amplitudes.get(config, 0.0 + 0.0j)
 
     def __len__(self) -> int:
-        return len(self.amplitudes)
+        return len(self._map())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Superposition):
+            return NotImplemented
+        return self.amplitudes == other.amplitudes
+
+    def __repr__(self) -> str:
+        return f"Superposition(amplitudes={dict(self.amplitudes)!r})"
+
+
+def _packed(run: _Run, packed: dict[int, complex]) -> Superposition:
+    psi = object.__new__(Superposition)
+    psi._run = run
+    psi._packed = packed
+    psi._view = None
+    return psi
 
 
 @dataclass(frozen=True)
@@ -120,10 +311,14 @@ class TraceStep:
     residual_norm_squared: float
 
 
+def _initial(run: _Run) -> Superposition:
+    key = run.key(Configuration(run.spec.q0, 0, (STACK_BASE,)))
+    return _packed(run, {key: 1.0 + 0.0j})
+
+
 def initial_superposition(spec: QpaSpec, word) -> Superposition:
     """Unit mass on (initial state, head on the left marker, base stack)."""
-    TapeContext.from_word(spec, word)
-    return Superposition({Configuration(spec.q0, 0, (STACK_BASE,)): 1.0 + 0.0j})
+    return _initial(_Run(spec, TapeContext.from_word(spec, word)))
 
 
 def step_targets(spec: QpaSpec, tape: TapeContext, config: Configuration
@@ -162,18 +357,40 @@ def apply_evolution(spec: QpaSpec, tape: TapeContext, psi: Superposition,
 
     Amplitudes arriving at the same configuration are summed, which is
     where interference happens; entries below ``prune_eps`` are dropped.
+    A configuration-keyed ``psi`` is first packed into a run of ``spec``
+    on ``tape``; it must use the spec's states and stack symbols.
     """
-    out: dict[Configuration, complex] = {}
-    for config, alpha in psi.amplitudes.items():
-        targets, overran = step_targets(spec, tape, config)
-        if overran:
-            raise TapeOverrunError(
-                f"advance past the end marker from {config} (amplitude {alpha!r})")
-        for target, amp in targets:
-            out[target] = out.get(target, 0.0 + 0.0j) + alpha * amp
+    run = psi._run
+    if run is None or run.spec is not spec or (run.tape is not tape and run.tape != tape):
+        run = _Run(spec, tape)
+        packed = {run.key(c): a for c, a in psi.amplitudes.items()}
+    else:
+        packed = psi._packed
+    rows, top, parent, child, hshift, hq_max, sym_bits, hq_mask, head_mask = run.step_ctx
+    out: dict[int, complex] = {}
+    get = out.get
+    for key, alpha in packed.items():
+        sid = key >> hshift
+        by_top = rows[key & hq_mask]
+        if by_top is None:
+            continue
+        entries = by_top.get(top[sid])
+        if entries is None:
+            continue
+        hb = key & head_mask
+        for dhq, pops, pushed, amp, based in entries:
+            hq = hb + dhq
+            if hq > hq_max or not based:
+                raise run.step_error(key, alpha, entries)
+            s = parent[sid] if pops else sid
+            for sym in pushed:
+                c = child.get((s << sym_bits) | sym)
+                s = run.push(s, sym) if c is None else c
+            target = (s << hshift) | hq
+            out[target] = get(target, 0.0 + 0.0j) + alpha * amp
     if prune_eps > 0.0:
         out = {c: a for c, a in out.items() if abs(a) >= prune_eps}
-    return Superposition(out)
+    return _packed(run, out)
 
 
 def measure(psi: Superposition, q_accept: frozenset[str], q_reject: frozenset[str]
@@ -183,17 +400,33 @@ def measure(psi: Superposition, q_accept: frozenset[str], q_reject: frozenset[st
     Returns the probability mass measured into each halting outcome and
     the unrenormalized residual supported on non-halting states.
     """
+    run = psi._run
+    if run is None:
+        # no run to classify states by id: number the configurations instead
+        configs = list(psi.amplitudes)
+        amps = dict(enumerate(psi.amplitudes.values()))
+        by_state = [_outcome(c.state, q_accept, q_reject) for c in configs]
+        mask = -1
+    else:
+        if q_accept is not run.q_accept or q_reject is not run.q_reject:
+            run.set_halting(q_accept, q_reject)
+        amps = psi._packed
+        by_state = run.by_state
+        mask = (1 << run.qbits) - 1
     p_acc = 0.0
     p_rej = 0.0
-    residual: dict[Configuration, complex] = {}
-    for config, alpha in psi.amplitudes.items():
-        if config.state in q_accept:
+    residual = {}
+    for key, alpha in amps.items():
+        outcome = by_state[key & mask]
+        if outcome == 1:
             p_acc += abs(alpha) ** 2
-        elif config.state in q_reject:
+        elif outcome == 2:
             p_rej += abs(alpha) ** 2
         else:
-            residual[config] = alpha
-    return p_acc, p_rej, Superposition(residual)
+            residual[key] = alpha
+    if run is None:
+        return p_acc, p_rej, Superposition({configs[i]: a for i, a in residual.items()})
+    return p_acc, p_rej, _packed(run, residual)
 
 
 def default_max_steps(word_length: int) -> int:
@@ -208,71 +441,70 @@ def _ensure_well_formed(spec: QpaSpec, force: bool) -> None:
         raise NotWellFormedError(summary)
 
 
+def _steps(spec: QpaSpec, word, max_steps: int | None, halt_eps: float, force: bool):
+    """The one recognition loop.
+
+    Yields ``(step, evolved superposition, accept increment, reject
+    increment, p_accept, p_reject, residual norm²)`` per step, and stops
+    after the step whose residual drops below ``halt_eps`` or after
+    ``max_steps`` steps.  The evolution and the observation are looked
+    up as module globals on every step.
+    """
+    _ensure_well_formed(spec, force)
+    tape = TapeContext.from_word(spec, word)
+    if max_steps is None:
+        max_steps = default_max_steps(len(tape) - 2)
+    psi = _initial(_Run(spec, tape))
+    p_acc = 0.0
+    p_rej = 0.0
+    for step in range(1, max_steps + 1):
+        evolved = apply_evolution(spec, tape, psi)
+        acc_inc, rej_inc, psi = measure(evolved, spec.q_accept, spec.q_reject)
+        p_acc += acc_inc
+        p_rej += rej_inc
+        residual = psi.norm_squared()
+        yield step, evolved, acc_inc, rej_inc, p_acc, p_rej, residual
+        if residual < halt_eps:
+            return
+
+
+def _fold(spec: QpaSpec, word, max_steps: int | None = None, halt_eps: float = HALT_EPS,
+          force: bool = False, trace_out: list[TraceStep] | None = None) -> RecognitionResult:
+    """Fold the loop into a result; with ``trace_out``, also collect its steps there.
+
+    ``recognize`` and ``trace`` are this fold; ``run --trace`` calls it
+    directly to get both from one run.
+    """
+    if max_steps is not None and max_steps < 0:
+        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
+    step, p_acc, p_rej, residual = 0, 0.0, 0.0, 1.0
+    for step, evolved, acc_inc, rej_inc, p_acc, p_rej, residual in _steps(
+            spec, word, max_steps, halt_eps, force):
+        if trace_out is not None:
+            trace_out.append(TraceStep(step, tuple(evolved.sorted_items()), acc_inc, rej_inc,
+                                       p_acc, p_rej, residual))
+    return RecognitionResult(p_accept=p_acc, p_reject=p_rej, p_nonhalt=residual,
+                             steps=step, halted=step > 0 and residual < halt_eps)
+
+
 def recognize(spec: QpaSpec, word, max_steps: int | None = None,
               halt_eps: float = HALT_EPS, force: bool = False) -> RecognitionResult:
     """Run the measure-many recognition loop on one input word.
 
     Stops once the residual mass drops below ``halt_eps`` (halted) or
     after ``max_steps`` evolution steps (not halted); the leftover mass
-    is reported as the non-halting probability.
+    is reported as the non-halting probability.  A negative
+    ``max_steps`` is a ``ValueError``.
     """
-    _ensure_well_formed(spec, force)
-    tape = TapeContext.from_word(spec, word)
-    if max_steps is None:
-        max_steps = default_max_steps(len(tape) - 2)
-    psi = initial_superposition(spec, word)
-    p_acc = 0.0
-    p_rej = 0.0
-    steps = 0
-    halted = False
-    while steps < max_steps:
-        psi = apply_evolution(spec, tape, psi)
-        steps += 1
-        acc_inc, rej_inc, psi = measure(psi, spec.q_accept, spec.q_reject)
-        p_acc += acc_inc
-        p_rej += rej_inc
-        if psi.norm_squared() < halt_eps:
-            halted = True
-            break
-    return RecognitionResult(
-        p_accept=p_acc,
-        p_reject=p_rej,
-        p_nonhalt=psi.norm_squared(),
-        steps=steps,
-        halted=halted,
-    )
+    return _fold(spec, word, max_steps, halt_eps, force)
 
 
 def trace(spec: QpaSpec, word, max_steps: int | None = None,
           halt_eps: float = HALT_EPS, force: bool = False) -> list[TraceStep]:
     """Like recognize, but snapshots every step's pre-observation state."""
-    _ensure_well_formed(spec, force)
-    tape = TapeContext.from_word(spec, word)
-    if max_steps is None:
-        max_steps = default_max_steps(len(tape) - 2)
-    psi = initial_superposition(spec, word)
-    p_acc = 0.0
-    p_rej = 0.0
-    out: list[TraceStep] = []
-    for step in range(1, max_steps + 1):
-        psi = apply_evolution(spec, tape, psi)
-        pre_observation = tuple(psi.sorted_items())
-        acc_inc, rej_inc, psi = measure(psi, spec.q_accept, spec.q_reject)
-        p_acc += acc_inc
-        p_rej += rej_inc
-        residual = psi.norm_squared()
-        out.append(TraceStep(
-            step=step,
-            entries=pre_observation,
-            p_accept_inc=acc_inc,
-            p_reject_inc=rej_inc,
-            p_accept=p_acc,
-            p_reject=p_rej,
-            residual_norm_squared=residual,
-        ))
-        if residual < halt_eps:
-            break
-    return out
+    steps: list[TraceStep] = []
+    _fold(spec, word, max_steps, halt_eps, force, steps)
+    return steps
 
 
 def decide(result: RecognitionResult, threshold: float) -> str:

@@ -75,18 +75,36 @@ def tokenize_push(text: str, stack_symbols: frozenset[str]) -> tuple[str, ...]:
 
 
 def tokenize_word(alphabets: Alphabets, word: str) -> tuple[str, ...]:
-    """Split an input word into alphabet symbols by longest match."""
-    by_len = sorted(alphabets.sigma, key=len, reverse=True)
+    """Split an input word into alphabet symbols, longest match first.
+
+    At each position the longest symbol is taken after which the rest of
+    the word still splits into symbols, so a greedy choice never strands
+    a word that has a split (``abc`` over {a, ab, bc} is ``a·bc``).  A
+    backward pass marks the positions from which the rest splits; the
+    work is linear in the word length.
+    """
+    sigma = alphabets.sigma
+    lengths = sorted({len(s) for s in sigma}, reverse=True)
+    n = len(word)
+    # cut[i]: length of the symbol taken at i, 0 if word[i:] has no split;
+    # the zeros past n stand for positions beyond the end of the word
+    cut = [0] * n + [-1] + [0] * lengths[0]
+    for i in range(n - 1, -1, -1):
+        for k in lengths:
+            if cut[i + k] and word[i:i + k] in sigma:
+                cut[i] = k
+                break
+    if not cut[0]:
+        reached = {0}
+        for i in range(n):
+            if i in reached:
+                reached.update(i + k for k in lengths if word[i:i + k] in sigma)
+        raise SymbolError(f"word {word!r} contains no declared symbol at position {max(reached)}")
     out: list[str] = []
     i = 0
-    while i < len(word):
-        for sym in by_len:
-            if word.startswith(sym, i):
-                out.append(sym)
-                i += len(sym)
-                break
-        else:
-            raise SymbolError(f"word {word!r} contains no declared symbol at position {i}")
+    while i < n:
+        out.append(word[i:i + cut[i]])
+        i += cut[i]
     return tuple(out)
 
 
@@ -112,6 +130,7 @@ def qpa_from_dict(doc: dict, validate: bool = True) -> QpaSpec:
         raise ParseError(str(exc)) from exc
 
     _require(isinstance(doc["initial"], str), "'initial' must be a string")
+    _require(isinstance(doc.get("name", ""), str), "'name' must be a string")
     accepting = _str_list(doc, "accepting")
     rejecting = _str_list(doc, "rejecting")
 
@@ -137,6 +156,11 @@ def qpa_from_dict(doc: dict, validate: bool = True) -> QpaSpec:
         _require(not unknown, f"transition {i}: unknown fields {sorted(unknown)}")
         missing = _TRANSITION_FIELDS - set(item)
         _require(not missing, f"transition {i}: missing fields {sorted(missing)}")
+        try:
+            "".join(item.values())      # the cheapest check that every field is a string
+        except TypeError:
+            f = min(f for f in _TRANSITION_FIELDS if not isinstance(item[f], str))
+            raise ParseError(f"transition {i}: {f!r} must be a string") from None
         _require(item["dir"] in ("stay", "advance"), f"transition {i}: bad dir {item['dir']!r}")
         try:
             omega = tokenize_push(item["push"], alphabets.delta_alpha)

@@ -335,3 +335,55 @@ class TestSimplifiedSummary:
         monkeypatch.setattr(cli, "compile_dfa", lambda dfa: broken)
         assert main(["compile-dfa", files["dfa"], str(tmp_path / "out.json")]) == 3
         assert "failed 960 condition checks" in capsys.readouterr().err
+
+
+class TestFieldTypeErrors:
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["transitions"][0].update(amp=1),
+        lambda d: d["transitions"][0].update({"from": ["q0"]}),
+        lambda d: d.update(name=5),
+    ])
+    def test_check_exits_three_with_one_line(self, edit, tmp_path, capsys):
+        doc = json.loads(qpa_dumps(zoo.fixture_specs()["l2"]))
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["check", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "must be a string" in captured.err
+
+
+class TestStepBudgetArgument:
+    def test_negative_max_steps_run(self, files, capsys):
+        assert main(["run", files["l2"], "ab", "--max-steps", "-1"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "max_steps" in err
+
+    def test_negative_max_steps_batch(self, files, tmp_path, capsys):
+        words = tmp_path / "words.txt"
+        words.write_text("ab\naabb\n", encoding="utf-8")
+        assert main(["batch", files["l2"], str(words), "--max-steps", "-1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+
+    def test_trace_runs_recognition_once(self, files, capsys, monkeypatch):
+        import qpakit.evolve as evolve
+        loops = []
+        original = evolve._steps
+
+        def counted(*args, **kwargs):
+            loops.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(evolve, "_steps", counted)
+        assert main(["run", files["l2"], "aabb", "--trace", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert loops == ["aabb"]
+        assert doc["steps"] == len(doc["trace"]) == 6
+
+    def test_trace_with_zero_steps(self, files, capsys):
+        assert main(["run", files["l2"], "ab", "--trace", "--json", "--max-steps", "0"]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["trace"] == [] and doc["steps"] == 0 and doc["p_nonhalt"] == 1.0
+        assert doc["halted"] is False

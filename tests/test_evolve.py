@@ -262,3 +262,134 @@ class TestTrace:
                     for c, _ in s.entries:
                         assert c.stack[0] == Z
                         assert Z not in c.stack[1:]
+
+
+class TestRunLoop:
+    def test_negative_max_steps_is_a_value_error(self):
+        spec = zoo.l2_rpa().spec
+        from qpakit.evolve import _fold
+        for fn in (recognize, trace, _fold):
+            with pytest.raises(ValueError, match="max_steps"):
+                fn(spec, "ab", max_steps=-1)
+
+    def test_traced_result_equals_recognize(self):
+        from qpakit.evolve import _fold
+        spec = zoo.l5_qpa().spec
+        for word, max_steps in (("abc", None), ("aabbcc", 3), ("", 0), ("ab", 1)):
+            steps = []
+            result = _fold(spec, word, max_steps=max_steps, trace_out=steps)
+            assert result == recognize(spec, word, max_steps=max_steps)
+            assert steps == trace(spec, word, max_steps=max_steps)
+            assert result.steps == len(steps)
+
+    def test_view_has_tuple_stacks_and_length(self):
+        spec = zoo.l2_rpa().spec
+        tape = _tape(spec, "aab")
+        psi = initial_superposition(spec, "aab")
+        for _ in range(3):
+            psi = apply_evolution(spec, tape, psi)
+        assert len(psi) == len(psi.amplitudes) == 1
+        (config,) = psi.amplitudes
+        assert config == Configuration("q1", 3, (Z, "1", "2"))
+        assert psi.amplitude(config) == 1.0
+        assert psi == Superposition({config: 1.0 + 0.0j})
+
+    def test_view_of_a_run_is_read_only(self):
+        spec = zoo.l2_rpa().spec
+        psi = apply_evolution(spec, _tape(spec, "ab"), initial_superposition(spec, "ab"))
+        (config,) = psi.amplitudes
+        with pytest.raises(TypeError):
+            psi.amplitudes[config] = 0.5
+        with pytest.raises(TypeError):
+            psi.amplitudes[Configuration("q0", 1, (Z,))] = 1.0
+        assert dict(psi.amplitudes) == {config: 1.0 + 0.0j} and len(psi) == 1
+
+    def test_stack_ids_are_shared(self):
+        # a push followed by its pop lands on the stack id it started from
+        spec = zoo.l2_rpa().spec
+        tape = _tape(spec, "abab")
+        psi = initial_superposition(spec, "abab")
+        (start,) = psi._packed
+        keys = []
+        for _ in range(5):
+            psi = apply_evolution(spec, tape, psi)
+            keys.extend(psi._packed)
+        run = psi._run
+        assert [run.config(k).stack for k in keys][:4] == [(Z,), (Z, "1"), (Z,), (Z, "1")]
+        sids = [k >> run.hshift for k in keys]
+        assert sids[0] == sids[2] == start >> run.hshift
+        assert sids[1] == sids[3]
+
+    def test_measure_other_halting_sets_on_a_run(self):
+        spec = zoo.l5_qpa().spec
+        psi = apply_evolution(spec, _tape(spec, "abc"), initial_superposition(spec, "abc"))
+        acc, rej, res = measure(psi, frozenset({"A0"}), frozenset({"C0", "uacc"}))
+        view = measure(Superposition(dict(psi.amplitudes)), frozenset({"A0"}),
+                       frozenset({"C0", "uacc"}))
+        assert (acc, rej, res.amplitudes) == (view[0], view[1], view[2].amplitudes)
+        assert acc == pytest.approx(2 / 7) and rej == pytest.approx(5 / 7)
+        assert measure(psi, spec.q_accept, spec.q_reject)[0] == pytest.approx(3 / 7)
+
+    def test_foreign_configuration_is_refused(self):
+        spec = zoo.l2_rpa().spec
+        tape = _tape(spec, "ab")
+        for bad in (Configuration("nope", 1, (Z,)), Configuration("q0", 9, (Z,)),
+                    Configuration("q0", 1, ()), Configuration("q0", 1, (Z, "x")),
+                    Configuration("q0", 1, ("1",)), Configuration("q0", 1, (Z, Z)),
+                    Configuration("q0", 1, ("1", Z))):
+            with pytest.raises(QpaError):
+                apply_evolution(spec, tape, Superposition({bad: 1.0}))
+
+
+def _base_losing_spec():
+    from conftest import make_spec
+    from qpakit.model import Direction
+    # popping the base without re-pushing it: structurally invalid, run with force
+    return make_spec(sigma={"x"}, t={"1"}, states={"q"}, q0="q", q_acc=(), q_rej=(),
+                     entries=[("q", "#", Z, "q", Direction.STAY, (), 1.0)])
+
+
+class TestStackBaseCheck:
+    def test_losing_the_base_is_a_qpa_error(self):
+        with pytest.raises(QpaError, match="without its Z0 base") as info:
+            recognize(_base_losing_spec(), "x", force=True)
+        assert "Configuration(state='q', head=0, stack=('Z0',))" in str(info.value)
+        assert not isinstance(info.value, TapeOverrunError)
+
+    def test_lost_base_wins_over_an_overrun(self):
+        # the same configuration both overruns and loses its base: the
+        # base is reported, as the tuple loop's assertion did
+        from conftest import make_spec
+        from qpakit.model import Direction
+        spec = make_spec(sigma={"x"}, t={"1"}, states={"q"}, q0="q", q_acc=(), q_rej=(), entries=[
+            ("q", "#", Z, "q", Direction.STAY, (Z,), 1.0),
+            ("q", "$", Z, "q", Direction.ADVANCE, (Z,), 0.6),
+            ("q", "$", Z, "q", Direction.STAY, (), 0.8),
+        ])
+        tape = _tape(spec, "")
+        psi = Superposition({Configuration("q", 1, (Z,)): 1.0})
+        with pytest.raises(QpaError, match="without its Z0 base"):
+            apply_evolution(spec, tape, psi)
+
+    def test_check_survives_optimized_mode(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1])\n"
+            "from test_evolve import _base_losing_spec\n"
+            "from qpakit.evolve import recognize\n"
+            "from qpakit.model import QpaError\n"
+            "try:\n"
+            "    recognize(_base_losing_spec(), 'x', force=True)\n"
+            "except QpaError as exc:\n"
+            "    print('refused:', exc)\n"
+        )
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(tests.parent / "src"), os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-O", "-c", code, str(tests)],
+                             capture_output=True, text=True, env=env, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("refused:") and "Z0 base" in out.stdout

@@ -190,3 +190,65 @@ class TestDfaDocuments:
         }
         with pytest.raises(ParseError):
             dfa_from_dict(doc)
+
+
+class TestFieldTypes:
+    """Every transition field and the name must be strings: a ParseError, not a crash."""
+
+    def _doc(self):
+        return json.loads(qpa_dumps(zoo.fixture_specs()["l2"]))
+
+    @pytest.mark.parametrize("field,value", [
+        ("amp", 1), ("amp", None), ("from", ["q0"]), ("to", {"q": 1}),
+        ("input", 7), ("stack_top", ["Z0"]), ("push", 1), ("dir", ["stay"]),
+    ])
+    def test_non_string_transition_field(self, field, value):
+        doc = self._doc()
+        doc["transitions"][3][field] = value
+        with pytest.raises(ParseError, match=f"transition 3: '{field}' must be a string"):
+            qpa_from_dict(doc)
+
+    @pytest.mark.parametrize("value", [5, None, ["l2"], {"n": 1}])
+    def test_non_string_name(self, value):
+        doc = self._doc()
+        doc["name"] = value
+        with pytest.raises(ParseError, match="'name' must be a string"):
+            qpa_from_dict(doc)
+
+    def test_string_name_still_loads(self):
+        doc = self._doc()
+        doc["name"] = "counter"
+        assert qpa_from_dict(doc).name == "counter"
+
+
+class TestWordSegmentation:
+    def test_greedy_dead_end_backs_off(self):
+        al = Alphabets(sigma=frozenset({"a", "ab", "bc"}), t=frozenset())
+        assert tokenize_word(al, "abc") == ("a", "bc")
+        assert tokenize_word(al, "ab") == ("ab",)
+        assert tokenize_word(al, "abab") == ("ab", "ab")
+        assert tokenize_word(al, "") == ()
+
+    def test_unsplittable_word_names_the_furthest_position(self):
+        al = Alphabets(sigma=frozenset({"a", "ab", "bc"}), t=frozenset())
+        with pytest.raises(SymbolError, match="position 2"):
+            tokenize_word(al, "abd")
+        with pytest.raises(SymbolError, match="position 3"):
+            tokenize_word(al, "abcx")
+        with pytest.raises(SymbolError, match="position 0"):
+            tokenize_word(al, "x")
+
+    def test_equal_length_symbols(self):
+        al = Alphabets(sigma=frozenset({"ab", "ba"}), t=frozenset())
+        assert tokenize_word(al, "abba") == ("ab", "ba")
+        with pytest.raises(SymbolError, match="position 2"):
+            tokenize_word(al, "abb")
+        with pytest.raises(SymbolError, match="position 2"):
+            tokenize_word(al, "abaa")
+
+    def test_long_dead_end_is_linear(self):
+        # backtracking would try every split of the a-run before the c
+        al = Alphabets(sigma=frozenset({"a", "aa", "b"}), t=frozenset())
+        with pytest.raises(SymbolError, match="position 400"):
+            tokenize_word(al, "a" * 400 + "c")
+        assert tokenize_word(al, "a" * 401 + "b") == ("aa",) * 200 + ("a", "b")

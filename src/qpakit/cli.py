@@ -24,19 +24,10 @@ import os
 import sys
 from pathlib import Path
 
-from . import zoo
+from . import matrixlab, zoo
 from .dfa2rpa import compile_dfa
 from .evolve import _fold, decide, recognize, result_to_dict, trace_to_dict
 from .io import ParseError, load_dfa, load_qpa, save_qpa, qpa_dumps
-from .matrixlab import (
-    DEFAULT_MATRIX_TOL,
-    WindowCapError,
-    build_matrix,
-    check_truncated_unitarity,
-    enumerate_window,
-    matrix_to_dict,
-    matrix_to_text,
-)
 from .model import QpaError, StructureError, validate_structure
 from .wellformed import DEFAULT_TOL, check_all, summary_to_dict
 
@@ -273,10 +264,10 @@ def cmd_matrix(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
     try:
-        tol = _tolerance(args.tolerance, DEFAULT_MATRIX_TOL)
-        window = enumerate_window(spec, args.word, args.radius)
-        matrix = build_matrix(spec, window)
-    except (WindowCapError, QpaError, ValueError) as exc:
+        tol = _tolerance(args.tolerance, matrixlab.DEFAULT_MATRIX_TOL)
+        window = matrixlab.enumerate_window(spec, args.word, args.radius)
+        matrix = matrixlab.build_matrix(spec, window)
+    except (matrixlab.WindowCapError, QpaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     doc = {"dim": matrix.dim, "word": args.word, "radius": args.radius}
@@ -284,7 +275,7 @@ def cmd_matrix(args) -> int:
              f"({len(matrix.interior_cols)} interior columns, {len(matrix.interior_rows)} interior rows)"]
     code = EXIT_OK
     if args.verify:
-        report = check_truncated_unitarity(matrix, tol=tol)
+        report = matrixlab.check_truncated_unitarity(matrix, tol=tol)
         doc["verify"] = {
             "col_deviation": report.col_deviation,
             "row_deviation": report.row_deviation,
@@ -297,12 +288,12 @@ def cmd_matrix(args) -> int:
         if not report.passed:
             code = EXIT_VIOLATIONS
     if args.dump:
-        doc["matrix"] = matrix_to_dict(matrix)
+        doc["matrix"] = matrixlab.matrix_to_dict(matrix)
         if args.dump != "-":
             Path(args.dump).write_text(json.dumps(doc["matrix"], indent=2) + "\n", encoding="utf-8")
             lines.append(f"dumped matrix to {args.dump}")
         else:
-            lines.append(matrix_to_text(matrix))
+            lines.append(matrixlab.matrix_to_text(matrix))
     _emit(doc, _want_json(args), lines)
     return code
 

@@ -304,6 +304,9 @@ def validate_structure(spec: QpaSpec, tol: float = AMPLITUDE_TOL) -> list[Struct
             f"states {sorted(overlap)} are both accepting and rejecting"))
 
     dirs = spec.direction_fn
+    ghosts = sorted(set(dirs or ()) - spec.states)
+    if ghosts:
+        out.append(StructureViolation("direction-unknown", f"direction function given for undeclared states {ghosts}"))
     if spec.kind != KIND_GENERAL:
         if dirs is None:
             out.append(StructureViolation("direction-missing", f"kind {spec.kind!r} requires a direction function"))

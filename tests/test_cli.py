@@ -353,6 +353,16 @@ class TestFieldTypeErrors:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "must be a string" in captured.err
 
+    def test_direction_for_undeclared_state(self, tmp_path, capsys):
+        doc = json.loads(qpa_dumps(zoo.fixture_specs()["l2"]))
+        doc["direction"]["ghost"] = "stay"
+        path = tmp_path / "ghost.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["check", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "undeclared states ['ghost']" in captured.err
+
 
 class TestStepBudgetArgument:
     def test_negative_max_steps_run(self, files, capsys):

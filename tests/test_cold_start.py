@@ -1,0 +1,124 @@
+"""Cold start: numpy and scipy load only with the matrix lab."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qpakit
+from qpakit import zoo
+from qpakit.io import save_dfa, save_qpa
+from qpakit.model import DfaSpec
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Runs one command in a fresh interpreter, then reports its exit code and
+# which of the heavy modules it left loaded, as the last line of stderr.
+CHILD = """\
+import json, sys
+from qpakit.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(m for m in ("numpy", "scipy") if m in sys.modules)]), file=sys.stderr)
+"""
+
+MATRIXLAB_NAMES = [
+    "ConfigWindow", "TruncatedMatrix", "UnitarityReport", "WindowCapError",
+    "banded_associativity_probe", "build_matrix", "check_truncated_unitarity",
+    "enumerate_window", "row_norm_bound_probe", "shift_fixture",
+]
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cold")
+    for name in ("l2", "l5"):
+        save_qpa(zoo.fixture_specs()[name], root / f"{name}.json")
+    save_dfa(DfaSpec(states=frozenset({"s"}), sigma=frozenset({"a"}), q0="s", finals=frozenset({"s"}),
+                     trans={("s", "a"): "s"}), root / "dfa.json")
+    (root / "words.txt").write_text("ab\naabb\nba\n", encoding="utf-8")
+    return root
+
+
+def _python(code, *argv, cwd=None):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out
+
+
+def _run_fresh(workdir, *argv):
+    out = _python(CHILD, *argv, cwd=workdir)
+    code, heavy = json.loads(out.stderr.splitlines()[-1])
+    return code, heavy, out.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "l5.json"],
+    ["run", "l2.json", "aabb"],
+    ["batch", "l2.json", "words.txt"],
+    ["compile-dfa", "dfa.json", "compiled.json"],
+    ["zoo", "list"],
+], ids=lambda argv: argv[0])
+def test_command_loads_neither_numpy_nor_scipy(workdir, argv):
+    code, heavy, _ = _run_fresh(workdir, *argv)
+    assert code == 0
+    assert heavy == []
+
+
+def test_matrix_loads_numpy_and_still_verifies(workdir):
+    code, heavy, stdout = _run_fresh(workdir, "matrix", "l2.json", "--word", "ab", "--radius", "2",
+                                     "--verify", "--json")
+    assert code == 0
+    assert heavy == ["numpy", "scipy"]
+    assert json.loads(stdout)["verify"]["passed"] is True
+
+
+class TestLazyNames:
+    @pytest.mark.parametrize("name", MATRIXLAB_NAMES)
+    def test_name_is_the_matrixlab_object(self, name):
+        import qpakit.matrixlab
+        namespace = {}
+        exec(f"from qpakit import {name}", namespace)
+        assert getattr(qpakit, name) is getattr(qpakit.matrixlab, name)
+        assert namespace[name] is getattr(qpakit.matrixlab, name)
+        assert name in dir(qpakit)
+
+    def test_first_use_loads_the_matrix_lab(self):
+        _python("import sys\n"
+                "import qpakit\n"
+                "assert 'numpy' not in sys.modules and 'scipy' not in sys.modules\n"
+                "assert sys.modules['qpakit.matrixlab'] is qpakit.matrixlab\n"
+                "import qpakit.matrixlab\n"
+                "assert 'numpy' not in sys.modules\n"
+                "assert qpakit.build_matrix is sys.modules['qpakit.matrixlab'].build_matrix\n"
+                "assert 'numpy' in sys.modules and 'scipy' in sys.modules\n")
+
+    def test_concurrent_first_use(self):
+        # every thread must see the fully loaded module, however the first uses interleave
+        _python("import threading\n"
+                "import qpakit\n"
+                "got, errors = [], []\n"
+                "def use(k):\n"
+                "    try:\n"
+                "        got.append(qpakit.build_matrix if k % 2 else qpakit.matrixlab.build_matrix)\n"
+                "    except Exception as exc:\n"
+                "        errors.append(repr(exc))\n"
+                "threads = [threading.Thread(target=use, args=(k,)) for k in range(8)]\n"
+                "for t in threads:\n"
+                "    t.start()\n"
+                "for t in threads:\n"
+                "    t.join(60)\n"
+                "assert not any(t.is_alive() for t in threads)\n"
+                "assert errors == [], errors\n"
+                "assert len(got) == 8 and all(f is qpakit.matrixlab.build_matrix for f in got)\n")
+
+    def test_unknown_attribute(self):
+        with pytest.raises(AttributeError, match="no attribute 'build_matrices'"):
+            qpakit.build_matrices
+        assert not hasattr(qpakit, "numpy")

@@ -372,24 +372,40 @@ class TestStackBaseCheck:
             apply_evolution(spec, tape, psi)
 
     def test_check_survives_optimized_mode(self):
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-        code = (
-            "import sys; sys.path.insert(0, sys.argv[1])\n"
-            "from test_evolve import _base_losing_spec\n"
-            "from qpakit.evolve import recognize\n"
-            "from qpakit.model import QpaError\n"
-            "try:\n"
-            "    recognize(_base_losing_spec(), 'x', force=True)\n"
-            "except QpaError as exc:\n"
-            "    print('refused:', exc)\n"
-        )
-        tests = Path(__file__).resolve().parent
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(tests.parent / "src"), os.environ.get("PYTHONPATH", "")]))
-        out = subprocess.run([sys.executable, "-O", "-c", code, str(tests)],
-                             capture_output=True, text=True, env=env, timeout=60)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.startswith("refused:") and "Z0 base" in out.stdout
+        _assert_refused_under_optimization("from qpakit.evolve import recognize",
+                                           "recognize(_base_losing_spec(), 'x', force=True)")
+
+    def test_window_check_is_a_qpa_error(self):
+        from qpakit.matrixlab import enumerate_window
+        with pytest.raises(QpaError, match="without its Z0 base") as info:
+            enumerate_window(_base_losing_spec(), "x", 2)
+        assert "Configuration(state='q', head=0, stack=('Z0',))" in str(info.value)
+
+    def test_window_check_survives_optimized_mode(self):
+        _assert_refused_under_optimization("from qpakit.matrixlab import enumerate_window",
+                                           "enumerate_window(_base_losing_spec(), 'x', 2)")
+
+
+def _assert_refused_under_optimization(setup: str, call: str):
+    """Run ``call`` under ``python -O``: it must raise the lost-base QpaError."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "from test_evolve import _base_losing_spec\n"
+        f"{setup}\n"
+        "from qpakit.model import QpaError\n"
+        "try:\n"
+        f"    {call}\n"
+        "except QpaError as exc:\n"
+        "    print('refused:', exc)\n"
+    )
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(tests.parent / "src"), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-O", "-c", code, str(tests)],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("refused:") and "Z0 base" in out.stdout

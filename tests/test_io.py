@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpakit import zoo
 from qpakit.dfa2rpa import compile_dfa
@@ -252,3 +254,45 @@ class TestWordSegmentation:
         with pytest.raises(SymbolError, match="position 400"):
             tokenize_word(al, "a" * 400 + "c")
         assert tokenize_word(al, "a" * 401 + "b") == ("aa",) * 200 + ("a", "b")
+
+
+_ZOO_DOCS = {name: qpa_dumps(spec) for name, spec in zoo.fixture_specs().items()}
+_TOP_FIELDS = ["kind", "name", "states", "input_alphabet", "stack_alphabet", "initial",
+               "accepting", "rejecting", "direction", "transitions", "surprise"]
+_TRANSITION_FIELDS = ["from", "input", "stack_top", "to", "dir", "push", "amp"]
+# strings the loader gives meaning to, so that spliced values also reach the later checks
+_WORDS = ["general", "simplified", "reversible", "stay", "advance", "q0", "q1", "q3", "a", "b",
+          "1", "2", "Z0", "#", "$", "", "12", "1Z0", "sqrt(1/2)", "-1", "0", "nan", "inf", "1e400"]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+    | st.sampled_from(_WORDS),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.text(max_size=3) | st.sampled_from(_WORDS), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _spliced_docs(draw):
+    doc = json.loads(_ZOO_DOCS[draw(st.sampled_from(sorted(_ZOO_DOCS)))])
+    for _ in range(draw(st.integers(1, 3))):
+        value = draw(_JSON)
+        if draw(st.booleans()):
+            doc[draw(st.sampled_from(_TOP_FIELDS))] = value
+        elif isinstance(doc.get("transitions"), list) and doc["transitions"]:
+            item = doc["transitions"][draw(st.integers(0, len(doc["transitions"]) - 1))]
+            if isinstance(item, dict):
+                item[draw(st.sampled_from(_TRANSITION_FIELDS))] = value
+    return doc
+
+
+class TestLoaderFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(_spliced_docs())
+    def test_load_fails_cleanly_or_round_trips(self, doc):
+        try:
+            spec = qpa_from_dict(doc)
+        except (ParseError, StructureError):
+            return
+        text = qpa_dumps(spec)
+        assert qpa_dumps(qpa_loads(text)) == text

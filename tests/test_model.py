@@ -216,6 +216,17 @@ class TestValidateStructure:
         assert {"initial-unknown", "state-unknown", "tape-symbol-unknown",
                 "stack-symbol-unknown"} <= codes
 
+    @pytest.mark.parametrize("kind", ["general", "simplified"])
+    def test_direction_for_undeclared_state(self, kind):
+        spec = make_spec(
+            sigma={"a"}, t={"1"}, states={"q"}, q0="q", q_acc=(), q_rej=(),
+            entries=[("q", "a", "1", "q", ADV, ("1",), 1.0)],
+            kind=kind, directions={"q": ADV, "ghost": STAY},
+        )
+        violations = validate_structure(spec)
+        assert [v.code for v in violations] == ["direction-unknown"]
+        assert "['ghost']" in violations[0].message
+
 
 class TestAlphabets:
     def test_reserved_symbols_rejected(self):

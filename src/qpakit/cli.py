@@ -26,7 +26,8 @@ from pathlib import Path
 
 from . import matrixlab, zoo
 from .dfa2rpa import compile_dfa
-from .evolve import _fold, decide, recognize, result_to_dict, trace_to_dict
+from .evolve import (_fold, check_max_steps, check_threshold, decide, next_above_half,
+                     recognize, result_to_dict, trace_to_dict)
 from .io import ParseError, load_dfa, load_qpa, save_qpa, qpa_dumps
 from .model import QpaError, StructureError, validate_structure
 from .wellformed import DEFAULT_TOL, check_all, summary_to_dict
@@ -162,9 +163,7 @@ def cmd_check(args) -> int:
 
 
 def _effective_threshold(value: float | None) -> float:
-    if value is None:
-        return math.nextafter(0.5, 1.0)
-    return value
+    return next_above_half() if value is None else value
 
 
 def cmd_run(args) -> int:
@@ -205,8 +204,10 @@ def cmd_batch(args) -> int:
         return EXIT_ERROR
     threshold = _effective_threshold(args.threshold)
     try:
+        check_max_steps(args.max_steps)
+        check_threshold(threshold)
         words = Path(args.words).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     rows = []

@@ -16,7 +16,9 @@ each run interns its stacks in a trie (hash-consing: a pop is the
 parent node, a push a child lookup) and a configuration is one int
 packing (stack id, head, state), so a step costs the same at any stack
 depth.  ``Configuration`` and ``Superposition.amplitudes`` are the
-public view, built only when asked for.
+public view, built only when asked for; the matrix lab builds
+``Configuration`` tuples only for its window's ``configs`` and steps a
+window on the same compiled rows through ``step_targets``.
 """
 from __future__ import annotations
 
@@ -218,14 +220,14 @@ class _Run:
                              (key & ((1 << self.hshift) - 1)) >> self.qbits,
                              self.stack(key >> self.hshift))
 
-    def step_error(self, key: int, alpha: complex, entries) -> QpaError:
+    def step_error(self, key: int, alpha: complex | None, entries) -> QpaError:
         """The error of a configuration whose entries overrun the tape or lose the base."""
         hb = key & ((1 << self.hshift) - 1) & ~((1 << self.qbits) - 1)
+        amp = "" if alpha is None else f" (amplitude {alpha!r})"
         if all(based or hb + dhq > self.hq_max for dhq, _, _, _, based in entries):
-            return TapeOverrunError(
-                f"advance past the end marker from {self.config(key)} (amplitude {alpha!r})")
+            return TapeOverrunError(f"advance past the end marker from {self.config(key)}{amp}")
         return QpaError(f"a transition from {self.config(key)} leaves a stack without "
-                        f"its {STACK_BASE} base (amplitude {alpha!r})")
+                        f"its {STACK_BASE} base{amp}")
 
 
 class Superposition:
@@ -321,36 +323,6 @@ def initial_superposition(spec: QpaSpec, word) -> Superposition:
     return _initial(_Run(spec, TapeContext.from_word(spec, word)))
 
 
-def step_targets(spec: QpaSpec, tape: TapeContext, config: Configuration
-                 ) -> tuple[list[tuple[Configuration, complex]], bool]:
-    """Successors of one configuration with amplitudes, plus an overrun flag.
-
-    The flag is set when a nonzero entry advances off the right end of
-    the tape; such branches have no target configuration.
-    """
-    sigma = tape.symbols[config.head]
-    tau = config.stack[-1]
-    entries = spec.by_source().get((config.state, sigma, tau))
-    if not entries:
-        return [], False
-    last = len(tape) - 1
-    out = []
-    overran = False
-    for q, d, omega, amp in entries:
-        if d is Direction.ADVANCE:
-            if config.head == last:
-                overran = True
-                continue
-            head = config.head + 1
-        else:
-            head = config.head
-        stack = config.stack[:-1] + omega
-        if not stack or stack[0] != STACK_BASE or STACK_BASE in stack[1:]:
-            raise QpaError(f"a transition from {config} leaves a stack without its {STACK_BASE} base")
-        out.append((Configuration(q, head, stack), amp))
-    return out, overran
-
-
 def apply_evolution(spec: QpaSpec, tape: TapeContext, psi: Superposition,
                     prune_eps: float = PRUNE_EPS) -> Superposition:
     """One application of the evolution operator, by linear extension.
@@ -391,6 +363,35 @@ def apply_evolution(spec: QpaSpec, tape: TapeContext, psi: Superposition,
     if prune_eps > 0.0:
         out = {c: a for c, a in out.items() if abs(a) >= prune_eps}
     return _packed(run, out)
+
+
+def step_targets(run: _Run, key: int) -> tuple[list[tuple[int, complex]], bool]:
+    """Successor keys of one packed configuration with amplitudes, plus an overrun flag.
+
+    Reads the rows ``apply_evolution`` steps with.  The flag is set when an
+    entry advances off the right end of the tape; such a branch has no target.
+    """
+    rows, top, parent, _, hshift, hq_max, _, hq_mask, head_mask = run.step_ctx
+    sid = key >> hshift
+    by_top = rows[key & hq_mask]
+    entries = None if by_top is None else by_top.get(top[sid])
+    if entries is None:
+        return [], False
+    hb = key & head_mask
+    out = []
+    overran = False
+    for dhq, pops, pushed, amp, based in entries:
+        hq = hb + dhq
+        if hq > hq_max:
+            overran = True
+            continue
+        if not based:
+            raise run.step_error(key, None, entries)
+        s = parent[sid] if pops else sid
+        for sym in pushed:
+            s = run.push(s, sym)
+        out.append(((s << hshift) | hq, amp))
+    return out, overran
 
 
 def measure(psi: Superposition, q_accept: frozenset[str], q_reject: frozenset[str]
@@ -475,8 +476,7 @@ def _fold(spec: QpaSpec, word, max_steps: int | None = None, halt_eps: float = H
     ``recognize`` and ``trace`` are this fold; ``run --trace`` calls it
     directly to get both from one run.
     """
-    if max_steps is not None and max_steps < 0:
-        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
+    check_max_steps(max_steps)
     step, p_acc, p_rej, residual = 0, 0.0, 0.0, 1.0
     for step, evolved, acc_inc, rej_inc, p_acc, p_rej, residual in _steps(
             spec, word, max_steps, halt_eps, force):
@@ -507,10 +507,19 @@ def trace(spec: QpaSpec, word, max_steps: int | None = None,
     return steps
 
 
-def decide(result: RecognitionResult, threshold: float) -> str:
-    """Map probabilities to a verdict using a strict-majority cutoff."""
+def check_max_steps(max_steps: int | None) -> None:
+    if max_steps is not None and max_steps < 0:
+        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
+
+
+def check_threshold(threshold: float) -> None:
     if not (0.5 < threshold <= 1.0):
         raise ValueError(f"threshold must lie in (0.5, 1], got {threshold}")
+
+
+def decide(result: RecognitionResult, threshold: float) -> str:
+    """Map probabilities to a verdict using a strict-majority cutoff."""
+    check_threshold(threshold)
     if result.p_accept >= threshold:
         return "accepted"
     if result.p_reject >= threshold:

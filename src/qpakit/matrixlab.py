@@ -13,7 +13,14 @@ interior indices, where truncation cannot fake or hide a deviation:
   window and the head is not on the leftmost cell.  The leftmost cell is
   a tape edge: configurations there can lack advancing predecessors for
   structural reasons, exactly as off-tape successors are a right-edge
-  artifact, so edge rows are boundary rather than evidence.
+  artifact, so edge rows are boundary rather than evidence.  No
+  inversion of the table is needed: a row off the leftmost cell is
+  interior unless its stack is at the full window depth and some entry
+  pops a non-base symbol and pushes nothing into its state, from the
+  cell under its head (stay) or the cell to its left (advance).  Only
+  such an entry has a source deeper than its target, and the window
+  holds every state, head and stack up to its depth, so the test is
+  exact.
 
 Documentation elsewhere labels rows and columns 1-based; all indices in
 this module are 0-based.
@@ -25,13 +32,13 @@ an associativity probe for banded triples.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
 
-from .evolve import Configuration, TapeContext, step_targets
+from .evolve import Configuration, TapeContext, _Run, step_targets
 from .model import Direction, STACK_BASE, QpaError, QpaSpec
 
 DENSE_LIMIT = 512          # dimension from which (AB)C vs A(BC) goes sparse
@@ -54,6 +61,10 @@ class ConfigWindow:
     interior_cols: frozenset[int]
     interior_rows: frozenset[int]
     stack_limit: int
+    # the automaton the window was enumerated for, and its one-step
+    # entries inside the window as (rows, cols, amplitudes) in column order
+    spec: QpaSpec | None = field(default=None, repr=False, compare=False)
+    entries: tuple = field(default=((), (), ()), repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.configs)
@@ -126,11 +137,8 @@ def _enumerate_stacks(t_symbols: tuple[str, ...], stack_limit: int) -> list[tupl
 
 
 def _count_stacks(n_symbols: int, stack_limit: int) -> int:
-    if n_symbols == 0:
-        return 1
-    if n_symbols == 1:
-        return stack_limit
-    return (n_symbols ** stack_limit - 1) // (n_symbols - 1)
+    """Stacks of depth 1 to ``stack_limit``; ``stack_limit`` is at least 1."""
+    return stack_limit if n_symbols == 1 else (n_symbols ** stack_limit - 1) // (n_symbols - 1)
 
 
 def enumerate_window(spec: QpaSpec, word, radius: int, cap: int = WINDOW_CAP) -> ConfigWindow:
@@ -145,125 +153,73 @@ def enumerate_window(spec: QpaSpec, word, radius: int, cap: int = WINDOW_CAP) ->
         raise ValueError("radius must be nonnegative")
     tape = TapeContext.from_word(spec, word)
     stack_limit = radius + 2
-    n_states = len(spec.states)
-    n_stacks = _count_stacks(len(spec.alphabets.t), stack_limit)
-    predicted = n_states * len(tape) * n_stacks
+    predicted = len(spec.states) * len(tape) * _count_stacks(len(spec.alphabets.t), stack_limit)
     if predicted > cap:
         raise WindowCapError(
             f"window of {predicted} configurations exceeds the cap of {cap}")
 
-    stacks = _enumerate_stacks(spec.alphabets.t_sorted(), stack_limit)
-    configs = sorted(
-        Configuration(q, h, s)
-        for q in spec.states
-        for h in range(len(tape))
-        for s in stacks
-    )
+    # sorted Configuration order, generated field by field
+    stacks = sorted(_enumerate_stacks(spec.alphabets.t_sorted(), stack_limit))
+    configs = [Configuration(q, h, s)
+               for q in sorted(spec.states) for h in range(len(tape)) for s in stacks]
     index = {c: i for i, c in enumerate(configs)}
 
+    run = _Run(spec, tape)
+    by_key = {run.key(c): i for i, c in enumerate(configs)}
     interior_cols = set()
-    for i, c in enumerate(configs):
-        targets, overran = step_targets(spec, tape, c)
-        if overran:
-            continue
-        if all(t in index for t, _ in targets):
-            interior_cols.add(i)
-
-    by_target = _predecessor_index(spec)
-    interior_rows = set()
-    for i, c in enumerate(configs):
-        if c.head == 0:
-            continue
-        if _preds_inside(spec, tape, c, by_target, stack_limit):
-            interior_rows.add(i)
-
-    return ConfigWindow(
-        tape=tape,
-        configs=tuple(configs),
-        index=index,
-        interior_cols=frozenset(interior_cols),
-        interior_rows=frozenset(interior_rows),
-        stack_limit=stack_limit,
-    )
-
-
-def _predecessor_index(spec: QpaSpec):
-    """(target state, tape symbol, direction) -> [(source state, popped, push word, amp)]."""
-    cached = getattr(spec, "_pred_index", None)
-    if cached is None:
-        cached = {}
-        for k in spec.sorted_keys():
-            cached.setdefault((k.q, k.sigma, k.d), []).append(
-                (k.q1, k.tau, k.omega, spec.delta[k]))
-        object.__setattr__(spec, "_pred_index", cached)
-    return cached
-
-
-def predecessors(spec: QpaSpec, tape: TapeContext, config: Configuration
-                 ) -> list[tuple[Configuration, complex]]:
-    """All configurations that reach ``config`` in one step, with amplitudes.
-
-    Inverts the transition relation: a push word must be a suffix of the
-    target stack, and the source stack is the remaining prefix with the
-    popped symbol back on top.
-    """
-    by_target = _predecessor_index(spec)
-    out: list[tuple[Configuration, complex]] = []
-    for d, head in ((Direction.STAY, config.head), (Direction.ADVANCE, config.head - 1)):
-        if head < 0:
-            continue
-        sigma = tape.symbols[head]
-        for q1, tau, omega, amp in by_target.get((config.state, sigma, d), ()):
-            n = len(omega)
-            if n and config.stack[len(config.stack) - n:] != omega:
-                continue
-            base = config.stack[:len(config.stack) - n]
-            if (tau == STACK_BASE) != (len(base) == 0):
-                continue
-            source = Configuration(q1, head, base + (tau,))
-            out.append((source, amp))
-    return out
-
-
-def _preds_inside(spec, tape, config, by_target, stack_limit) -> bool:
-    for d, head in ((Direction.STAY, config.head), (Direction.ADVANCE, config.head - 1)):
-        if head < 0:
-            continue
-        sigma = tape.symbols[head]
-        for q1, tau, omega, amp in by_target.get((config.state, sigma, d), ()):
-            n = len(omega)
-            if n and config.stack[len(config.stack) - n:] != omega:
-                continue
-            base = config.stack[:len(config.stack) - n]
-            if (tau == STACK_BASE) != (len(base) == 0):
-                continue
-            if len(base) + 1 > stack_limit:
-                return False
-    return True
-
-
-def build_matrix(spec: QpaSpec, window: ConfigWindow) -> TruncatedMatrix:
-    """Entry (r, c): amplitude with which configuration c maps to r in one step."""
     rows: list[int] = []
     cols: list[int] = []
     vals: list[complex] = []
-    for c_idx, config in enumerate(window.configs):
-        targets, _ = step_targets(spec, window.tape, config)
+    for key, c_idx in by_key.items():
+        targets, overran = step_targets(run, key)
+        inside = not overran
         for target, amp in targets:
-            r_idx = window.index.get(target)
-            if r_idx is not None:
+            r_idx = by_key.get(target)
+            if r_idx is None:
+                inside = False
+            else:
                 rows.append(r_idx)
                 cols.append(c_idx)
                 vals.append(amp)
+        if inside:
+            interior_cols.add(c_idx)
+
+    # Only an entry that pops a non-base symbol and pushes nothing has a
+    # source deeper than its target (by one symbol); every other entry's
+    # source is no deeper, so no other predecessor can leave the window.
+    deeper = {(k.q, k.sigma, k.d) for k in spec.delta if k.tau != STACK_BASE and not k.omega}
+    symbols = tape.symbols
+    interior_rows = frozenset(
+        i for i, c in enumerate(configs)
+        if c.head >= 1 and not (len(c.stack) == stack_limit and (
+            (c.state, symbols[c.head], Direction.STAY) in deeper
+            or (c.state, symbols[c.head - 1], Direction.ADVANCE) in deeper)))
+
+    return ConfigWindow(tape=tape, configs=tuple(configs), index=index,
+                        interior_cols=frozenset(interior_cols), interior_rows=interior_rows,
+                        stack_limit=stack_limit, spec=spec, entries=(rows, cols, vals))
+
+
+def build_matrix(spec: QpaSpec, window: ConfigWindow) -> TruncatedMatrix:
+    """Entry (r, c): amplitude with which configuration c maps to r in one step.
+
+    Reads the entries ``enumerate_window`` stepped, for ``spec`` only.
+    """
+    if window.spec is not spec:
+        raise QpaError("the window was not enumerated for this automaton")
     return _matrix_from_triplets(
-        len(window.configs), rows, cols, vals,
+        len(window.configs), *window.entries,
         window.interior_cols, window.interior_rows)
 
 
 # --- unitarity checks ---------------------------------------------------------
 
 
-def _col_gram_deviation(matrix: TruncatedMatrix, storage: str) -> float:
+def _col_gram_deviation(matrix: TruncatedMatrix, storage: str = "auto") -> float:
+    if storage == "auto":
+        storage = "dense" if matrix.dim < GRAM_DENSE_LIMIT else "sparse"
+    if storage not in ("dense", "sparse"):
+        raise ValueError(f"unknown storage {storage!r}")
     interior = sorted(matrix.interior_cols)
     if not interior:
         return 0.0
@@ -286,18 +242,15 @@ def _col_gram_deviation(matrix: TruncatedMatrix, storage: str) -> float:
     return float(dev)
 
 
-def _row_norms_squared(matrix: TruncatedMatrix) -> np.ndarray:
+def _interior_row_norms_squared(matrix: TruncatedMatrix) -> np.ndarray:
     out = np.zeros(matrix.dim, dtype=float)
     np.add.at(out, matrix.rows, np.abs(matrix.vals) ** 2)
-    return out
+    return out[sorted(matrix.interior_rows)]
 
 
 def _row_deviation(matrix: TruncatedMatrix) -> float:
-    interior = sorted(matrix.interior_rows)
-    if not interior:
-        return 0.0
-    norms2 = _row_norms_squared(matrix)[interior]
-    return float(np.abs(norms2 - 1.0).max())
+    norms2 = _interior_row_norms_squared(matrix)
+    return float(np.abs(norms2 - 1.0).max()) if norms2.size else 0.0
 
 
 def check_truncated_unitarity(matrix: TruncatedMatrix,
@@ -309,10 +262,6 @@ def check_truncated_unitarity(matrix: TruncatedMatrix,
     below ``GRAM_DENSE_LIMIT`` and sparse from there on, and both paths
     give identical results.
     """
-    if storage == "auto":
-        storage = "dense" if matrix.dim < GRAM_DENSE_LIMIT else "sparse"
-    if storage not in ("dense", "sparse"):
-        raise ValueError(f"unknown storage {storage!r}")
     col_dev = _col_gram_deviation(matrix, storage)
     row_dev = _row_deviation(matrix)
     return UnitarityReport(
@@ -331,22 +280,17 @@ def row_norm_bound_probe(matrix: TruncatedMatrix, tol: float = 1e-9) -> float:
     Refuses to answer unless the interior columns are orthonormal, since
     the bound only holds for isometries.
     """
-    col_dev = _col_gram_deviation(
-        matrix, "dense" if matrix.dim < GRAM_DENSE_LIMIT else "sparse")
+    col_dev = _col_gram_deviation(matrix)
     if col_dev > tol:
         raise QpaError(
             f"interior columns are not orthonormal (deviation {col_dev:.3g}); "
             "row bound not applicable")
-    interior = sorted(matrix.interior_rows)
-    if not interior:
-        return 0.0
-    norms2 = _row_norms_squared(matrix)[interior]
-    return float(np.sqrt(norms2.max()))
+    norms2 = _interior_row_norms_squared(matrix)
+    return float(np.sqrt(norms2.max())) if norms2.size else 0.0
 
 
 def interior_row_norms(matrix: TruncatedMatrix) -> np.ndarray:
-    interior = sorted(matrix.interior_rows)
-    return np.sqrt(_row_norms_squared(matrix)[interior])
+    return np.sqrt(_interior_row_norms_squared(matrix))
 
 
 def rows_pairwise_orthogonal_deviation(matrix: TruncatedMatrix) -> float:
@@ -463,16 +407,6 @@ def superposition_to_vector(window: ConfigWindow, psi) -> np.ndarray:
             raise QpaError(f"configuration {config} lies outside the window")
         vec[idx] = amp
     return vec
-
-
-def vector_to_superposition(window: ConfigWindow, vec: np.ndarray, prune_eps: float = 0.0):
-    from .evolve import Superposition
-
-    amps = {
-        window.configs[i]: complex(vec[i])
-        for i in np.nonzero(np.abs(vec) > prune_eps)[0]
-    }
-    return Superposition(amps)
 
 
 def matrix_to_dict(matrix: TruncatedMatrix) -> dict:

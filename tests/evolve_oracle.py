@@ -22,7 +22,7 @@ from qpakit.evolve import (
     TraceStep,
     default_max_steps,
 )
-from qpakit.model import Direction, STACK_BASE, QpaSpec
+from qpakit.model import Direction, STACK_BASE, QpaError, QpaSpec
 from qpakit.wellformed import check_all
 
 
@@ -75,8 +75,8 @@ def step_targets(spec: QpaSpec, tape: TapeContext, config: Configuration
         else:
             head = config.head
         stack = config.stack[:-1] + omega
-        assert stack and stack[0] == STACK_BASE and STACK_BASE not in stack[1:], \
-            "stack lost its base prefix"
+        if not stack or stack[0] != STACK_BASE or STACK_BASE in stack[1:]:
+            raise QpaError(f"a transition from {config} leaves a stack without its {STACK_BASE} base")
         out.append((Configuration(q, head, stack), amp))
     return out, overran
 

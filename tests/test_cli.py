@@ -377,6 +377,19 @@ class TestStepBudgetArgument:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag", [["--max-steps", "-1"], ["--threshold", "2"],
+                                      ["--threshold", "0.5"], ["--threshold", "nan"]])
+    def test_batch_refuses_bad_flags_with_or_without_words(self, files, tmp_path, capsys, flag):
+        errors = []
+        for text in ("", "ab\n"):
+            words = tmp_path / "words.txt"
+            words.write_text(text, encoding="utf-8")
+            assert main(["batch", files["l2"], str(words), *flag]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.count("\n") == 1
+            errors.append(captured.err)
+        assert errors[0] == errors[1]
+
     def test_trace_runs_recognition_once(self, files, capsys, monkeypatch):
         import qpakit.evolve as evolve
         loops = []

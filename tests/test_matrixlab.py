@@ -15,7 +15,6 @@ from qpakit.matrixlab import (
     enumerate_window,
     interior_row_norms,
     matrix_to_dict,
-    predecessors,
     random_banded_isometry,
     random_banded_matrix,
     random_partial_permutation,
@@ -49,16 +48,6 @@ class TestWindow:
         with pytest.raises(WindowCapError):
             enumerate_window(spec, "ab", 40)
 
-    def test_predecessors_invert_successors(self):
-        from qpakit.evolve import step_targets
-        spec = zoo.l2_rpa().spec
-        w = enumerate_window(spec, "ab", 3)
-        for config in w.configs[:200]:
-            targets, _ = step_targets(spec, w.tape, config)
-            for target, amp in targets:
-                back = predecessors(spec, w.tape, target)
-                assert (config, amp) in back
-
     def test_leftmost_rows_are_boundary(self):
         spec = zoo.l1_rpa().spec
         w = enumerate_window(spec, "1", 2)
@@ -75,6 +64,11 @@ class TestBuildMatrix:
             col = dense[:, c]
             assert np.count_nonzero(col) == 1
             assert abs(col[np.nonzero(col)][0]) == pytest.approx(1.0)
+
+    def test_refuses_a_window_of_another_automaton(self):
+        w = enumerate_window(zoo.l2_rpa().spec, "ab", 2)
+        with pytest.raises(QpaError, match="not enumerated for this automaton"):
+            build_matrix(zoo.l1_rpa().spec, w)
 
     def test_l2_interior_columns_orthonormal(self):
         spec = zoo.l2_rpa().spec

@@ -29,12 +29,13 @@ from types import MappingProxyType
 
 from .io import tokenize_word
 from .model import (
-    Direction,
     LEFT_MARKER,
     RIGHT_MARKER,
     STACK_BASE,
+    ADVANCE_ID,
     QpaError,
     QpaSpec,
+    cached_on,
 )
 from .wellformed import ConditionSummary, check_all
 
@@ -88,45 +89,35 @@ class Configuration:
 
 
 class _Table:
-    """A spec compiled to integer ids; built once and cached on the spec.
+    """A spec's compiled table (``ids``) as integer rows; built once and cached on the spec.
 
     ``rows[tape id][state id]`` maps a top-of-stack id to the entries
-    ``(advance << qbits | target id, pops, pushed ids, amplitude,
-    keeps base)``, in ``by_source`` order.  A push word that starts with
-    the popped symbol leaves that symbol in place and pushes the rest.
+    ``(advance << qbits | target id, pops, pushed ids, amplitude, keeps
+    base)``, in table order.  A push word that starts with the popped
+    symbol leaves that symbol in place and pushes the rest.
     ``keeps base`` says whether the entry leaves a stack that starts
     with the base symbol with that prefix and no second base symbol.
     """
 
     def __init__(self, spec: QpaSpec):
-        src = spec.by_source()
-        entries = [(q1, sigma, tau, q, omega) for (q1, sigma, tau), row in src.items()
-                   for q, _, omega, _ in row]
-        self.states = sorted(spec.states | {spec.q0} | {e[0] for e in entries} | {e[3] for e in entries})
-        self.state_id = {q: i for i, q in enumerate(self.states)}
-        self.qbits = (len(self.states) - 1).bit_length()
-        self.tape_id = {s: i for i, s in enumerate(spec.alphabets.gamma_sorted())}
-        self.syms = sorted(spec.alphabets.delta_alpha | {e[2] for e in entries}
-                           | {s for e in entries for s in e[4]})
-        self.sym_id = {s: i for i, s in enumerate(self.syms)}
-        self.sym_bits = len(self.syms).bit_length()
-        self.rows = [[None] * (1 << self.qbits) for _ in self.tape_id]
-        for (q1, sigma, tau), row in src.items():
-            if sigma not in self.tape_id:
-                continue
-            by_top = self.rows[self.tape_id[sigma]][self.state_id[q1]]
-            if by_top is None:
-                by_top = self.rows[self.tape_id[sigma]][self.state_id[q1]] = {}
-            by_top[self.sym_id[tau]] = tuple(self._entry(tau, *e) for e in row)
+        self.ids = ids = spec.compiled()
+        self.qbits = (len(ids.states) - 1).bit_length()
+        self.sym_bits = len(ids.syms).bit_length()
+        self.tape_id = {s: i for s, i in ids.tape_id.items() if s in spec.alphabets.gamma}
+        base = ids.sym_id[STACK_BASE]
+        self.rows = [[None] * (1 << self.qbits) for _ in ids.tapes]
+        for (q1, sigma, tau), group in ids.sources.items():
+            if self.rows[sigma][q1] is None:
+                self.rows[sigma][q1] = {}
+            self.rows[sigma][q1][tau] = tuple(self._entry(tau, base, *e[3:7]) for e in group)
 
-    def _entry(self, tau, q, d, omega, amp):
+    def _entry(self, tau, base, q, d, omega, amp):
         keeps = bool(omega) and omega[0] == tau
-        if tau == STACK_BASE:
-            based = bool(omega) and omega[0] == STACK_BASE and STACK_BASE not in omega[1:]
+        if tau == base:
+            based = bool(omega) and omega[0] == base and base not in omega[1:]
         else:
-            based = STACK_BASE not in omega
-        return ((int(d is Direction.ADVANCE) << self.qbits) | self.state_id[q], not keeps,
-                tuple(self.sym_id[s] for s in omega[keeps:]), amp, based)
+            based = base not in omega
+        return ((d == ADVANCE_ID) << self.qbits) | q, not keeps, omega[keeps:], amp, based
 
 
 def _outcome(state: str, q_accept, q_reject) -> int:
@@ -135,11 +126,7 @@ def _outcome(state: str, q_accept, q_reject) -> int:
 
 
 def _table(spec: QpaSpec) -> _Table:
-    table = getattr(spec, "_int_table", None)
-    if table is None:
-        table = _Table(spec)
-        object.__setattr__(spec, "_int_table", table)
-    return table
+    return cached_on(spec, "_int_table", _Table)
 
 
 class _Run:
@@ -179,7 +166,7 @@ class _Run:
         """Classify state ids for ``measure``: ``by_state[id]`` is an ``_outcome``."""
         self.q_accept = q_accept
         self.q_reject = q_reject
-        self.by_state = [_outcome(q, q_accept, q_reject) for q in self.table.states]
+        self.by_state = [_outcome(q, q_accept, q_reject) for q in self.table.ids.states]
 
     def push(self, sid: int, sym: int) -> int:
         k = (sid << self.table.sym_bits) | sym
@@ -198,25 +185,25 @@ class _Run:
             sid = self.parent[sid]
             t = self._tuples.get(sid)
         for s in reversed(path):
-            t = self._tuples[s] = t + (self.table.syms[self.top[s]],)
+            t = self._tuples[s] = t + (self.table.ids.syms[self.top[s]],)
         return t
 
     def key(self, config: Configuration) -> int:
-        table = self.table
-        q = table.state_id.get(config.state)
+        ids = self.table.ids
+        q = ids.state_id.get(config.state)
         if q is None or not 0 <= config.head < len(self.tape):
             raise QpaError(f"{config} is not a configuration of this automaton on this tape")
         if not config.stack or config.stack[0] != STACK_BASE or STACK_BASE in config.stack[1:]:
             raise QpaError(f"{config} does not hold exactly one {STACK_BASE}, at the bottom")
         sid = 0
         for s in config.stack:
-            if s not in table.sym_id:
+            if s not in ids.sym_id:
                 raise QpaError(f"{config} holds {s!r}, which is not a stack symbol")
-            sid = self.push(sid, table.sym_id[s])
+            sid = self.push(sid, ids.sym_id[s])
         return (sid << self.hshift) | (config.head << self.qbits) | q
 
     def config(self, key: int) -> Configuration:
-        return Configuration(self.table.states[key & ((1 << self.qbits) - 1)],
+        return Configuration(self.table.ids.states[key & ((1 << self.qbits) - 1)],
                              (key & ((1 << self.hshift) - 1)) >> self.qbits,
                              self.stack(key >> self.hshift))
 

@@ -39,6 +39,7 @@ _QPA_FIELDS = {
 }
 _TRANSITION_FIELDS = {"from", "input", "stack_top", "to", "dir", "push", "amp"}
 _DFA_FIELDS = {"states", "alphabet", "initial", "finals", "transitions"}
+_DIRECTIONS = {d.value: d for d in Direction}
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -143,25 +144,30 @@ def qpa_from_dict(doc: dict, validate: bool = True) -> QpaSpec:
         direction = {}
         for q, d in raw.items():
             _require(d in ("stay", "advance"), f"direction for {q!r} must be 'stay' or 'advance'")
-            direction[q] = Direction(d)
+            direction[q] = _DIRECTIONS[d]
 
     delta: dict[TransitionKey, complex] = {}
     literals: dict[TransitionKey, str] = {}
-    seen: set[TransitionKey] = set()
+    seen: set[tuple] = set()
     raw_trans = doc["transitions"]
     _require(isinstance(raw_trans, list), "'transitions' must be a list")
+    # per-item checks format their message only when they fail
     for i, item in enumerate(raw_trans):
-        _require(isinstance(item, dict), f"transition {i} must be an object")
-        unknown = set(item) - _TRANSITION_FIELDS
-        _require(not unknown, f"transition {i}: unknown fields {sorted(unknown)}")
-        missing = _TRANSITION_FIELDS - set(item)
-        _require(not missing, f"transition {i}: missing fields {sorted(missing)}")
+        if not isinstance(item, dict):
+            raise ParseError(f"transition {i} must be an object")
+        if item.keys() != _TRANSITION_FIELDS:
+            unknown = set(item) - _TRANSITION_FIELDS
+            _require(not unknown, f"transition {i}: unknown fields {sorted(unknown)}")
+            missing = _TRANSITION_FIELDS - set(item)
+            _require(not missing, f"transition {i}: missing fields {sorted(missing)}")
         try:
             "".join(item.values())      # the cheapest check that every field is a string
         except TypeError:
             f = min(f for f in _TRANSITION_FIELDS if not isinstance(item[f], str))
             raise ParseError(f"transition {i}: {f!r} must be a string") from None
-        _require(item["dir"] in ("stay", "advance"), f"transition {i}: bad dir {item['dir']!r}")
+        d = _DIRECTIONS.get(item["dir"])
+        if d is None:
+            raise ParseError(f"transition {i}: bad dir {item['dir']!r}")
         try:
             omega = tokenize_push(item["push"], alphabets.delta_alpha)
         except ParseError as exc:
@@ -170,14 +176,13 @@ def qpa_from_dict(doc: dict, validate: bool = True) -> QpaSpec:
             amp = parse_amplitude(item["amp"])
         except ValueError as exc:
             raise ParseError(f"transition {i}: {exc}") from exc
-        key = TransitionKey(
-            q1=item["from"], sigma=item["input"], tau=item["stack_top"],
-            q=item["to"], d=Direction(item["dir"]), omega=omega,
-        )
-        _require(key not in seen, f"transition {i}: duplicate key")
-        seen.add(key)
+        names = (item["from"], item["input"], item["stack_top"], item["to"], d, omega)
+        if names in seen:
+            raise ParseError(f"transition {i}: duplicate key")
+        seen.add(names)
         if amp == 0:
             continue
+        key = TransitionKey(*names)
         delta[key] = amp
         literals[key] = item["amp"]
 

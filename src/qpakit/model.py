@@ -10,6 +10,11 @@ strings, so multi-character symbol names stay unambiguous.
 Reserved symbols: ``#`` and ``$`` frame the input word on the tape and
 ``Z0`` is the stack base.  They are injected by the loaders and may not
 be declared by users.
+
+Every layer reads a spec through one ``CompiledTable``, built on first use
+and cached on the spec: names numbered in sorted order (``advance`` before
+``stay``), entries sorted once.  ``sorted_keys``, ``by_source`` and
+``validate_structure`` read it, as do the condition suite and the run loop.
 """
 from __future__ import annotations
 
@@ -17,6 +22,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 LEFT_MARKER = "#"
 RIGHT_MARKER = "$"
@@ -54,12 +60,17 @@ class Direction(Enum):
     STAY = "stay"
     ADVANCE = "advance"
 
+    # members are singletons compared by identity, so they hash by identity
+    __hash__ = object.__hash__
+
     def __lt__(self, other):
         return self.value < other.value
 
 
-def _sorted_syms(symbols) -> tuple[str, ...]:
-    return tuple(sorted(symbols))
+# a compiled table's direction ids: a direction's place in ``DIRECTIONS``
+DIRECTIONS = (Direction.ADVANCE, Direction.STAY)
+ADVANCE_ID, STAY_ID = 0, 1
+_DIR_ID = {d: i for i, d in enumerate(DIRECTIONS)}
 
 
 @dataclass(frozen=True)
@@ -78,27 +89,31 @@ class Alphabets:
                 if not s:
                     raise SymbolError(f"empty symbol in {name} alphabet")
 
-    @property
+    @cached_property
     def gamma(self) -> frozenset[str]:
         """Tape alphabet: input symbols plus the two end markers."""
         return self.sigma | {LEFT_MARKER, RIGHT_MARKER}
 
-    @property
+    @cached_property
     def delta_alpha(self) -> frozenset[str]:
         """Working stack alphabet: stack symbols plus the base symbol."""
         return self.t | {STACK_BASE}
 
+    @cached_property
+    def _sorted(self) -> tuple[tuple[str, ...], ...]:
+        return tuple(tuple(sorted(a)) for a in (self.sigma, self.gamma, self.t, self.delta_alpha))
+
     def sigma_sorted(self) -> tuple[str, ...]:
-        return _sorted_syms(self.sigma)
+        return self._sorted[0]
 
     def gamma_sorted(self) -> tuple[str, ...]:
-        return _sorted_syms(self.gamma)
+        return self._sorted[1]
 
     def t_sorted(self) -> tuple[str, ...]:
-        return _sorted_syms(self.t)
+        return self._sorted[2]
 
     def delta_sorted(self) -> tuple[str, ...]:
-        return _sorted_syms(self.delta_alpha)
+        return self._sorted[3]
 
 
 @dataclass(frozen=True, order=True)
@@ -145,20 +160,58 @@ class QpaSpec:
     amp_literals: dict[TransitionKey, str] = field(default_factory=dict)
     name: str = ""
 
+    def compiled(self) -> "CompiledTable":
+        """The table with its names interned and its entries sorted, cached."""
+        return cached_on(self, "_compiled", CompiledTable)
+
     def sorted_keys(self) -> list[TransitionKey]:
-        return sorted(self.delta)
+        return [e[-1] for e in self.compiled().entries]
 
     def by_source(self) -> dict[tuple[str, str, str], list[tuple[str, Direction, tuple[str, ...], complex]]]:
         """Index the table by (state, tape symbol, popped symbol), cached."""
-        cache = getattr(self, "_by_source", None)
-        if cache is None:
-            cache = {}
-            for k in self.sorted_keys():
-                cache.setdefault((k.q1, k.sigma, k.tau), []).append(
-                    (k.q, k.d, k.omega, self.delta[k])
-                )
-            object.__setattr__(self, "_by_source", cache)
-        return cache
+        t = self.compiled()
+        return cached_on(self, "_by_source", lambda _: {
+            (t.states[q1], t.tapes[sigma], t.syms[tau]): [(k.q, k.d, k.omega, amp) for *_, amp, k in group]
+            for (q1, sigma, tau), group in t.sources.items()})
+
+
+def cached_on(spec: QpaSpec, attr: str, build):
+    """``build(spec)``, computed on first use and kept on the (frozen) spec as ``attr``."""
+    if attr not in spec.__dict__:
+        object.__setattr__(spec, attr, build(spec))
+    return spec.__dict__[attr]
+
+
+class CompiledTable:
+    """A spec's names interned to ints and its entries sorted, once.
+
+    An id is a place in ``states``, ``tapes`` or ``syms``: sorted lists of
+    the declared names, the initial state and any undeclared name an entry
+    uses.  ``entries`` are ``(q1, sigma, tau, q, d, omega, amp, key)``, ids
+    for names, ``d`` a place in ``DIRECTIONS``, in ``TransitionKey`` order;
+    ``sources`` groups them as ``{(q1, sigma, tau): entries}``.
+    """
+
+    def __init__(self, spec: QpaSpec):
+        delta = spec.delta
+        omegas = {k.omega for k in delta}
+        self.states = sorted(spec.states | {spec.q0} | {k.q1 for k in delta} | {k.q for k in delta})
+        self.tapes = sorted(spec.alphabets.gamma | {k.sigma for k in delta})
+        self.syms = sorted(spec.alphabets.delta_alpha | {k.tau for k in delta} | {s for w in omegas for s in w})
+        sid = self.state_id = {q: i for i, q in enumerate(self.states)}
+        tid = self.tape_id = {s: i for i, s in enumerate(self.tapes)}
+        yid = self.sym_id = {s: i for i, s in enumerate(self.syms)}
+        wid = {w: tuple(yid[s] for s in w) for w in omegas}
+        self.entries = sorted(
+            (sid[k.q1], tid[k.sigma], yid[k.tau], sid[k.q], _DIR_ID[k.d], wid[k.omega], amp, k)
+            for k, amp in delta.items())
+
+    @cached_property
+    def sources(self) -> dict[tuple[int, int, int], list[tuple]]:
+        out: dict = {}
+        for e in self.entries:
+            out.setdefault(e[:3], []).append(e)
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,53 +369,49 @@ def validate_structure(spec: QpaSpec, tol: float = AMPLITUDE_TOL) -> list[Struct
                 out.append(StructureViolation(
                     "direction-partial", f"direction function undefined for {sorted(missing)}"))
 
-    seen_triples: dict[tuple[str, str, str], int] = {}
-    for key in spec.sorted_keys():
-        amp = spec.delta[key]
-        ctx = f"transition {key.q1!r},{key.sigma!r},{key.tau!r} -> {key.q!r},{key.d.value},{key.omega!r}"
-        if key.q1 not in spec.states or key.q not in spec.states:
-            out.append(StructureViolation("state-unknown", f"{ctx}: undeclared state", key))
-        if key.sigma not in al.gamma:
-            out.append(StructureViolation("tape-symbol-unknown", f"{ctx}: undeclared tape symbol", key))
-        if key.tau not in al.delta_alpha:
-            out.append(StructureViolation("stack-symbol-unknown", f"{ctx}: undeclared popped symbol", key))
-        if any(s not in al.delta_alpha for s in key.omega):
-            out.append(StructureViolation("push-symbol-unknown", f"{ctx}: undeclared push symbol", key))
-        if len(key.omega) > 2:
-            out.append(StructureViolation("push-too-long", f"{ctx}: push word longer than 2", key))
-        elif len(key.omega) == 2 and key.omega[0] != key.tau:
-            out.append(StructureViolation(
-                "push-head-mismatch", f"{ctx}: two-symbol push must start with the popped symbol", key))
-        if key.tau == STACK_BASE:
-            if not key.omega or key.omega[0] != STACK_BASE:
-                out.append(StructureViolation(
-                    "base-pop-removes-base", f"{ctx}: popping {STACK_BASE} must re-push it", key))
-            if any(s == STACK_BASE for s in key.omega[1:]):
-                out.append(StructureViolation(
-                    "base-pushed-above", f"{ctx}: {STACK_BASE} pushed above the bottom", key))
-        else:
-            if any(s == STACK_BASE for s in key.omega):
-                out.append(StructureViolation(
-                    "base-in-push", f"{ctx}: {STACK_BASE} pushed after popping an ordinary symbol", key))
+    # the tests run on ids; the message context is formatted only for an entry that fails one
+    table = spec.compiled()
+    state_ok = [q in spec.states for q in table.states]
+    tape_ok = [s in al.gamma for s in table.tapes]
+    sym_ok = [s in al.delta_alpha for s in table.syms]
+    base = table.sym_id[STACK_BASE]
+    want = [None if dirs is None or spec.kind == KIND_GENERAL else dirs.get(q) for q in table.states]
+    for q1, sigma, tau, q, _, omega, amp, key in table.entries:
+        bad = []
+        if not (state_ok[q1] and state_ok[q]):
+            bad.append(("state-unknown", "undeclared state"))
+        if not tape_ok[sigma]:
+            bad.append(("tape-symbol-unknown", "undeclared tape symbol"))
+        if not sym_ok[tau]:
+            bad.append(("stack-symbol-unknown", "undeclared popped symbol"))
+        if not all(sym_ok[s] for s in omega):
+            bad.append(("push-symbol-unknown", "undeclared push symbol"))
+        if len(omega) > 2:
+            bad.append(("push-too-long", "push word longer than 2"))
+        elif len(omega) == 2 and omega[0] != tau:
+            bad.append(("push-head-mismatch", "two-symbol push must start with the popped symbol"))
+        if tau == base:
+            if not omega or omega[0] != base:
+                bad.append(("base-pop-removes-base", f"popping {STACK_BASE} must re-push it"))
+            if base in omega[1:]:
+                bad.append(("base-pushed-above", f"{STACK_BASE} pushed above the bottom"))
+        elif base in omega:
+            bad.append(("base-in-push", f"{STACK_BASE} pushed after popping an ordinary symbol"))
         if abs(amp) > 1.0 + tol:
-            out.append(StructureViolation(
-                "amplitude-too-large", f"{ctx}: modulus {abs(amp):.12g} exceeds 1", key))
-        if spec.kind != KIND_GENERAL and dirs is not None and amp != 0:
-            want = dirs.get(key.q)
-            if want is not None and key.d is not want:
-                out.append(StructureViolation(
-                    "direction-mismatch",
-                    f"{ctx}: direction {key.d.value} differs from the target state's {want.value}", key))
-        if spec.kind == KIND_REVERSIBLE and amp != 0:
-            if amp != 1:
-                out.append(StructureViolation(
-                    "reversible-amplitude", f"{ctx}: reversible tables carry amplitude 1 exactly", key))
-            triple = (key.q1, key.sigma, key.tau)
-            seen_triples[triple] = seen_triples.get(triple, 0) + 1
-
+            bad.append(("amplitude-too-large", f"modulus {abs(amp):.12g} exceeds 1"))
+        if amp != 0 and want[q] is not None and key.d is not want[q]:
+            bad.append(("direction-mismatch",
+                        f"direction {key.d.value} differs from the target state's {want[q].value}"))
+        if spec.kind == KIND_REVERSIBLE and amp != 0 and amp != 1:
+            bad.append(("reversible-amplitude", "reversible tables carry amplitude 1 exactly"))
+        if bad:
+            ctx = f"transition {key.q1!r},{key.sigma!r},{key.tau!r} -> {key.q!r},{key.d.value},{key.omega!r}"
+            out.extend(StructureViolation(code, f"{ctx}: {text}", key) for code, text in bad)
     if spec.kind == KIND_REVERSIBLE:
-        for triple, n in sorted(seen_triples.items()):
+        for group in table.sources.values():
+            n = sum(e[-2] != 0 for e in group)
             if n > 1:
+                k = group[0][-1]
                 out.append(StructureViolation(
-                    "reversible-multivalued", f"{n} entries stored for triple {triple!r}"))
+                    "reversible-multivalued", f"{n} entries stored for triple {(k.q1, k.sigma, k.tau)!r}"))
     return out

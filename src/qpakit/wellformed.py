@@ -19,19 +19,31 @@ stack-shifted configurations could otherwise meet.
 The row scan quantifies over all ordered pairs of stack symbols,
 including repeated ones; the degenerate tuples are well defined and are
 deliberately not skipped.
+
+The scans read indexes built from the spec's compiled table
+(``QpaSpec.compiled``), keyed by its ids and made for the sources that
+have entries only.  An entry whose source uses an undeclared state, tape
+symbol or popped symbol has no place in the loop, so ``check_all``
+raises ``StructureError`` with the structure check's violations.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import product
 
 from .model import (
-    Direction,
+    ADVANCE_ID,
+    DIRECTIONS,
     KIND_GENERAL,
     KIND_REVERSIBLE,
     KIND_SIMPLIFIED,
     QpaError,
     QpaSpec,
+    STAY_ID,
+    StructureError,
+    cached_on,
+    validate_structure,
 )
 
 DEFAULT_TOL = 1e-9
@@ -40,9 +52,9 @@ DEFAULT_MAX_REPORTS = 100
 GENERAL_CONDITIONS = ("LPC", "OCV", "RVN", "SEP1a", "SEP1b", "SEP2", "SEP3a", "SEP3b")
 SIMPLIFIED_CONDITIONS = ("LPC2", "OCV2", "RVN2", "SEP_a", "SEP_b")
 
-_STAY = Direction.STAY
-_ADV = Direction.ADVANCE
-_SAME = {_STAY: _STAY, _ADV: _ADV}
+# direction ids as the compiled table numbers them
+_SAME = {ADVANCE_ID: ADVANCE_ID, STAY_ID: STAY_ID}
+_MIXED = ((STAY_ID, ADVANCE_ID), (ADVANCE_ID, STAY_ID))     # (first column's, partner's), SEP3 order
 
 
 class MissingDirectionError(QpaError):
@@ -121,59 +133,62 @@ class _Collector:
 
 
 @dataclass
-class _Tables:
-    """Per-source and per-target index maps over the stored entries."""
+class _Source:
+    """A source with entries; ``ids`` are its compiled ``(q1, sigma, tau)``."""
 
-    sources: list[tuple[str, str, str]] = field(default_factory=list)
-    full: dict = field(default_factory=dict)      # src -> {(q,d,omega): amp}
-    singles: dict = field(default_factory=dict)   # src -> {(q,d,sym): amp}
-    doubles: dict = field(default_factory=dict)   # src -> {(q,d,s0,s1): amp}
-    eps: dict = field(default_factory=dict)       # src -> {(q,d): amp}
-    stay_w: dict = field(default_factory=dict)    # src -> {(q,omega): amp}
-    adv_w: dict = field(default_factory=dict)     # src -> {(q,omega): amp}
-    adv_in: dict = field(default_factory=dict)    # (q1,sigma) -> {omega: sum |amp|^2}
-    stay_in: dict = field(default_factory=dict)   # (q1,sigma) -> {omega: sum |amp|^2}
+    ids: tuple[int, int, int]
+    full: dict = field(default_factory=dict)      # (q, d, omega) -> amp
+    singles: dict = field(default_factory=dict)   # (q, d, sym) -> amp
+    doubles: dict = field(default_factory=dict)   # (q, d, s0, s1) -> amp
+    eps: dict = field(default_factory=dict)       # (q, d) -> amp
 
 
-def _build_tables(spec: QpaSpec) -> _Tables:
-    t = _Tables()
-    al = spec.alphabets
-    t.sources = [
-        (q, s, tau)
-        for q in sorted(spec.states)
-        for s in al.gamma_sorted()
-        for tau in al.delta_sorted()
-    ]
-    for src in t.sources:
-        t.full[src] = {}
-        t.singles[src] = {}
-        t.doubles[src] = {}
-        t.eps[src] = {}
-        t.stay_w[src] = {}
-        t.adv_w[src] = {}
-    for key in spec.sorted_keys():
-        amp = spec.delta[key]
-        src = (key.q1, key.sigma, key.tau)
-        t.full[src][(key.q, key.d, key.omega)] = amp
-        if len(key.omega) == 0:
-            t.eps[src][(key.q, key.d)] = amp
-        elif len(key.omega) == 1:
-            t.singles[src][(key.q, key.d, key.omega[0])] = amp
-        else:
-            t.doubles[src][(key.q, key.d, key.omega[0], key.omega[1])] = amp
-        (t.stay_w if key.d is _STAY else t.adv_w)[src][(key.q, key.omega)] = amp
-        into = t.adv_in if key.d is _ADV else t.stay_in
-        bucket = into.setdefault((key.q, key.sigma), {})
-        bucket[key.omega] = bucket.get(key.omega, 0.0) + abs(amp) ** 2
-    return t
+class _Index:
+    """The suite's indexes, keyed by compiled ids (``d`` a place in ``DIRECTIONS``).
+
+    Only sources with entries are indexed, in table order.  Every indexed
+    source is declared, and compiled ids follow sorted names, so id order
+    is the exhaustive loop's order.  ``declared[s]`` says whether stack id
+    ``s`` is a declared stack symbol.
+    """
+
+    def __init__(self, spec: QpaSpec):
+        self.table = table = spec.compiled()
+        al = spec.alphabets
+        self.states = sorted(spec.states)
+        self.gam = al.gamma_sorted()
+        self.dl = al.delta_sorted()
+        self.declared = [s in al.delta_alpha for s in table.syms]
+        self.sources: list[_Source] = []
+        self.by_sigma: list[list[_Source]] = [[] for _ in table.tapes]
+        self.adv_in: dict = {}    # (q, sigma) -> {omega: sum |amp|^2}
+        self.stay_in: dict = {}   # (q, sigma) -> {omega: sum |amp|^2}
+        for ids, group in table.sources.items():
+            q1, sigma, tau = ids
+            if not (table.states[q1] in spec.states and table.tapes[sigma] in al.gamma
+                    and self.declared[tau]):
+                raise StructureError(validate_structure(spec))
+            src = _Source(ids)
+            self.sources.append(src)
+            self.by_sigma[sigma].append(src)
+            for _, _, _, q, d, omega, amp, _ in group:
+                src.full[(q, d, omega)] = amp
+                if len(omega) == 0:
+                    src.eps[(q, d)] = amp
+                elif len(omega) == 1:
+                    src.singles[(q, d, omega[0])] = amp
+                else:
+                    src.doubles[(q, d, omega[0], omega[1])] = amp
+                bucket = (self.stay_in if d == STAY_ID else self.adv_in).setdefault((q, sigma), {})
+                bucket[omega] = bucket.get(omega, 0.0) + abs(amp) ** 2
+
+    def names(self, ids: tuple[int, int, int]) -> tuple[str, str, str]:
+        q1, sigma, tau = ids
+        return self.table.states[q1], self.table.tapes[sigma], self.table.syms[tau]
 
 
-def _tables(spec: QpaSpec) -> _Tables:
-    cached = getattr(spec, "_wf_tables", None)
-    if cached is None:
-        cached = _build_tables(spec)
-        object.__setattr__(spec, "_wf_tables", cached)
-    return cached
+def _index(spec: QpaSpec) -> _Index:
+    return cached_on(spec, "_wf_index", _Index)
 
 
 def _dot(a: dict, b: dict) -> complex:
@@ -198,41 +213,46 @@ def _feed(col: _Collector, sums: dict, witness) -> None:
         col.add(witness(*key), abs(sums[key]))
 
 
-def _colliding_dots(left: list[dict], right: list[dict]) -> dict:
-    """``{(i, j): _dot(left[i], right[j])}`` for the column pairs that share a key."""
+def _colliding_dots(left: list[tuple[int, dict]], right: list[tuple[int, dict]],
+                    upper: bool = False) -> dict:
+    """``{(i, j): _dot(a, b)}`` for the numbered columns ``(i, a)``, ``(j, b)`` that share a key.
+
+    With ``upper``, only the pairs with ``j > i``.
+    """
     index: dict = {}
-    for j, col in enumerate(right):
+    for j, col in right:
         for k in col:
             index.setdefault(k, []).append(j)
-    return {(i, j): _dot(col, right[j])
-            for i, col in enumerate(left)
-            for j in {j for k in col for j in index.get(k, ())}}
+    cols = dict(right)
+    return {(i, j): _dot(col, cols[j])
+            for i, col in left
+            for j in {j for k in col for j in index.get(k, ()) if j > i or not upper}}
 
 
-def _shift_sums(t: _Tables, srcs: list, dl: tuple, turns: list[dict]) -> list[tuple[dict, dict]]:
-    """Stack-shift inner products between the columns of ``srcs``.
+def _shift_sums(srcs: list[_Source], declared: list, turns: list[dict]) -> list[tuple[dict, dict]]:
+    """Stack-shift inner products between the sources ``srcs``, by their ids.
 
     The first column pushes one symbol fewer than its partner, which pushes
-    ``dl[t3]`` on top.  Part a pairs single against two-symbol pushes and
-    empty against single pushes; part b pairs empty pushes against
-    two-symbol pushes that re-push the partner's popped symbol.  A turn
-    maps the direction of a first-column entry to the direction its
-    partner must have.  Returns, per turn, part a and part b as
-    ``{(i1, i2, t3): sum}``.
+    the declared stack symbol ``t3`` on top.  Part a pairs single against
+    two-symbol pushes and empty against single pushes; part b pairs empty
+    pushes against two-symbol pushes that re-push the partner's popped
+    symbol.  A turn maps the direction of a first-column entry to the
+    direction its partner must have.  Returns, per turn, part a and part b
+    as ``{(i1, i2, t3): sum}``.
     """
-    t3_of = {tau: k for k, tau in enumerate(dl)}
     by_last: dict = {}   # (q, d, last symbol) -> [(i2, t3, amp)] of two-symbol pushes
     by_qd: dict = {}     # (q, d) -> [(i2, t3, amp)] of single pushes
     by_tau2: dict = {}   # (q, d) -> [(i2, t3, amp)] of two-symbol pushes over tau2
-    for i2, src in enumerate(srcs):
-        for (q, d, sym), b in t.singles[src].items():
-            if sym in t3_of:
-                by_qd.setdefault((q, d), []).append((i2, t3_of[sym], b))
-        for (q, d, s0, s1), b in t.doubles[src].items():
-            if s0 in t3_of:
-                by_last.setdefault((q, d, s1), []).append((i2, t3_of[s0], b))
-            if s0 == src[2] and s1 in t3_of:
-                by_tau2.setdefault((q, d), []).append((i2, t3_of[s1], b))
+    for src in srcs:
+        i2 = src.ids
+        for (q, d, sym), b in src.singles.items():
+            if declared[sym]:
+                by_qd.setdefault((q, d), []).append((i2, sym, b))
+        for (q, d, s0, s1), b in src.doubles.items():
+            if declared[s0]:
+                by_last.setdefault((q, d, s1), []).append((i2, s0, b))
+            if s0 == i2[2] and declared[s1]:
+                by_tau2.setdefault((q, d), []).append((i2, s1, b))
 
     def accumulate(part: dict, i1: int, a: complex, partners) -> None:
         ca = a.conjugate()
@@ -244,11 +264,12 @@ def _shift_sums(t: _Tables, srcs: list, dl: tuple, turns: list[dict]) -> list[tu
     for turn in turns:
         part_a: dict = {}
         part_b: dict = {}
-        for i1, src in enumerate(srcs):
-            for (q, d, sym), a in t.singles[src].items():
+        for src in srcs:
+            i1 = src.ids
+            for (q, d, sym), a in src.singles.items():
                 if d in turn:
                     accumulate(part_a, i1, a, by_last.get((q, turn[d], sym), ()))
-            for (q, d), a in t.eps[src].items():
+            for (q, d), a in src.eps.items():
                 if d in turn:
                     accumulate(part_a, i1, a, by_qd.get((q, turn[d]), ()))
                     accumulate(part_b, i1, a, by_tau2.get((q, turn[d]), ()))
@@ -258,25 +279,24 @@ def _shift_sums(t: _Tables, srcs: list, dl: tuple, turns: list[dict]) -> list[tu
 
 def _scan_local_probability(spec: QpaSpec, tol: float, max_reports: int,
                             condition_id: str) -> _Collector:
-    t = _tables(spec)
+    t = _index(spec)
     col = _Collector(condition_id, tol, max_reports)
-    for src in t.sources:
-        s = sum(abs(a) ** 2 for a in t.full[src].values())
-        col.add(src, abs(s - 1.0))
+    norms = {src.ids: sum(abs(a) ** 2 for a in src.full.values()) for src in t.sources}
+    tab = t.table
+    ids = product([tab.state_id[q] for q in t.states], [tab.tape_id[s] for s in t.gam],
+                  [tab.sym_id[s] for s in t.dl])
+    for src, key in zip(product(t.states, t.gam, t.dl), ids):
+        col.add(src, abs(norms.get(key, 0) - 1.0))
     return col
 
 
 def _scan_column_orthogonality(spec: QpaSpec, tol: float, max_reports: int,
                                condition_id: str) -> _Collector:
-    t = _tables(spec)
+    t = _index(spec)
     col = _Collector(condition_id, tol, max_reports)
-    al = spec.alphabets
-    pairs = [(q, tau) for q in sorted(spec.states) for tau in al.delta_sorted()]
-    for sigma in al.gamma_sorted():
-        cols = [t.full[(q, sigma, tau)] for q, tau in pairs]
-        dots = _colliding_dots(cols, cols)
-        _feed(col, {(i, j): v for (i, j), v in dots.items() if j > i},
-              lambda i, j: (pairs[i][0], sigma, pairs[i][1]) + pairs[j])
+    for srcs in t.by_sigma:
+        cols = [(src.ids, src.full) for src in srcs]
+        _feed(col, _colliding_dots(cols, cols, upper=True), lambda i, j: t.names(i) + t.names(j)[::2])
     return col
 
 
@@ -289,27 +309,26 @@ def _scan_row_norm(spec: QpaSpec, tol: float, max_reports: int,
     summed once per (state, tape symbol) and the staying terms are added
     to it one by one, which is the order the row sum has always used.
     """
-    t = _tables(spec)
+    t = _index(spec)
     col = _Collector(condition_id, tol, max_reports)
-    al = spec.alphabets
-    gam = al.gamma_sorted()
-    dl = al.delta_sorted()
+    tape_id = t.table.tape_id
     simplified = condition_id == "RVN2"
-
-    taus = [(tau1, tau2) for tau1 in dl for tau2 in dl]
+    ids = t.table.sym_id
+    taus = [(tau1, tau2) for tau1 in t.dl for tau2 in t.dl]
+    pushes = [((), (ids[tau2],), (ids[tau1], ids[tau2])) for tau1, tau2 in taus]
     zeros = [(0.0, 0.0, 0.0)] * len(taus)
 
     def terms(b: dict | None) -> list[tuple[float, float, float]]:
         if not b:
             return zeros
-        return [(b.get((), 0.0), b.get((tau2,), 0.0), b.get((tau1, tau2), 0.0))
-                for tau1, tau2 in taus]
+        return [(b.get(w0, 0.0), b.get(w1, 0.0), b.get(w2, 0.0)) for w0, w1, w2 in pushes]
 
-    for q1 in sorted(spec.states):
-        stay = {s: terms(t.stay_in.get((q1, s))) for s in gam}
-        for s1 in gam:
-            adv = [a0 + a1 + a2 for a0, a1, a2 in terms(t.adv_in.get((q1, s1)))]
-            for s2 in (s1,) if simplified else gam:
+    for q1 in t.states:
+        q = t.table.state_id[q1]
+        stay = {s: terms(t.stay_in.get((q, tape_id[s]))) for s in t.gam}
+        for s1 in t.gam:
+            adv = [a0 + a1 + a2 for a0, a1, a2 in terms(t.adv_in.get((q, tape_id[s1])))]
+            for s2 in (s1,) if simplified else t.gam:
                 head = (q1, s1) if simplified else (q1, s1, s2)
                 for tt, a, (b0, b1, b2) in zip(taus, adv, stay[s2]):
                     r = abs(a + b0 + b1 + b2 - 1.0)
@@ -328,17 +347,12 @@ def _scan_sep_shared_sigma(spec: QpaSpec, tol: float, max_reports: int,
     for configurations whose stacks differ in depth, which one table
     triple can realize on its own.
     """
-    t = _tables(spec)
+    t = _index(spec)
     col_a = _Collector(id_a, tol, max_reports)
     col_b = _Collector(id_b, tol, max_reports)
-    al = spec.alphabets
-    states = sorted(spec.states)
-    dl = al.delta_sorted()
-    for sigma in al.gamma_sorted():
-        srcs = [(q, sigma, tau) for q in states for tau in dl]
-        for col, sums in zip((col_a, col_b), _shift_sums(t, srcs, dl, [_SAME])[0]):
-            _feed(col, sums, lambda i1, i2, t3:
-                  (srcs[i1][0], sigma, srcs[i1][2], srcs[i2][0], srcs[i2][2], dl[t3]))
+    for srcs in t.by_sigma:
+        for col, part in zip((col_a, col_b), _shift_sums(srcs, t.declared, [_SAME])[0]):
+            _feed(col, part, lambda i1, i2, t3: t.names(i1) + t.names(i2)[::2] + (t.table.syms[t3],))
     return col_a, col_b
 
 
@@ -349,20 +363,20 @@ def _scan_sep_mixed(spec: QpaSpec, tol: float, max_reports: int
     SEP2 pairs equal push words; SEP3a/SEP3b pair push words that differ
     by one net symbol, in both direction assignments.
     """
-    t = _tables(spec)
+    t = _index(spec)
     col2 = _Collector("SEP2", tol, max_reports)
     col3a = _Collector("SEP3a", tol, max_reports)
     col3b = _Collector("SEP3b", tol, max_reports)
-    dl = spec.alphabets.delta_sorted()
-    srcs = t.sources
-    dots = _colliding_dots([t.stay_w[s] for s in srcs], [t.adv_w[s] for s in srcs])
-    _feed(col2, dots, lambda i, j: srcs[i] + srcs[j])
-    dir_pairs = ((_STAY, _ADV), (_ADV, _STAY))
-    by_pair = _shift_sums(t, srcs, dl, [{d1: d2} for d1, d2 in dir_pairs])
+    # SEP2 pairs a staying entry with an advancing one to the same (q, omega)
+    halves = [[(s.ids, {(q, w): a for (q, d, w), a in s.full.items() if d == want}) for s in t.sources]
+              for want in (STAY_ID, ADVANCE_ID)]
+    dots = _colliding_dots(*halves)
+    _feed(col2, dots, lambda i, j: t.names(i) + t.names(j))
+    by_pair = _shift_sums(t.sources, t.declared, [{d1: d2} for d1, d2 in _MIXED])
     for part, col in enumerate((col3a, col3b)):
         sums = {key + (k,): v for k, pair in enumerate(by_pair) for key, v in pair[part].items()}
         _feed(col, sums, lambda i1, i2, t3, k:
-              srcs[i1] + srcs[i2] + (dl[t3], dir_pairs[k][0].value))
+              t.names(i1) + t.names(i2) + (t.table.syms[t3], DIRECTIONS[_MIXED[k][0]].value))
     return col2, col3a, col3b
 
 
@@ -443,10 +457,7 @@ def check_all(spec: QpaSpec, tol: float = DEFAULT_TOL,
         suite = "simplified" if spec.kind in (KIND_SIMPLIFIED, KIND_REVERSIBLE) else "general"
     if suite not in ("general", "simplified"):
         raise ValueError(f"unknown suite {suite!r}")
-    memo = getattr(spec, "_wf_summaries", None)
-    if memo is None:
-        memo = {}
-        object.__setattr__(spec, "_wf_summaries", memo)
+    memo = cached_on(spec, "_wf_summaries", lambda _: {})
     key = (type(tol), tol, max_reports, suite)     # 0 and 0.0 print differently
     if key not in memo:
         results = tuple(c.result() for c in _collectors(spec, tol, max_reports, suite))

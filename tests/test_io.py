@@ -19,8 +19,9 @@ from qpakit.io import (
     tokenize_push,
     tokenize_word,
 )
-from qpakit.model import Alphabets, StructureError, SymbolError
+from qpakit.model import Alphabets, StructureError, SymbolError, validate_structure
 
+import io_oracle
 from conftest import random_total_dfa
 
 
@@ -286,13 +287,123 @@ def _spliced_docs(draw):
     return doc
 
 
+def _outcome(load, doc):
+    """What a loader makes of a copy of ``doc``: a spec, or the exception's type, text and violations."""
+    try:
+        return load(json.loads(json.dumps(doc)))
+    except Exception as exc:    # any type, so that the two loaders' types are compared
+        return (type(exc), str(exc), [(v.code, v.message, v.key) for v in getattr(exc, "violations", ())])
+
+
+def assert_loads_like_oracle(doc):
+    """Both loaders raise alike or give equal specs, with and without the structure check."""
+    for validate in (True, False):
+        got = _outcome(lambda d: qpa_from_dict(d, validate=validate), doc)
+        want = _outcome(lambda d: io_oracle.qpa_from_dict(d, validate=validate), doc)
+        if isinstance(want, tuple):
+            assert got == want
+            continue
+        assert not isinstance(got, tuple), got
+        assert list(got.delta.items()) == list(want.delta.items())
+        assert got.sorted_keys() == io_oracle.sorted_keys(want)
+        assert got.by_source() == io_oracle.by_source(want)
+        assert qpa_dumps(got) == io_oracle.qpa_dumps(want)
+        assert [(v.code, v.message, v.key) for v in validate_structure(got)] == \
+            [(v.code, v.message, v.key) for v in io_oracle.validate_structure(want)]
+
+
+_DFA_DOCS = {f"dfa{n}": qpa_dumps(compile_dfa(random_total_dfa(n, alph, np.random.default_rng(n))))
+             for n, alph in ((2, "01"), (3, "abc"), (4, "01"))}
+
+
+@st.composite
+def _mutated_docs(draw):
+    """A zoo or compiled-DFA document with a few structural faults put in.
+
+    The faults are the ones the structure check and the loader name:
+    undeclared states and symbols, bad and ambiguous push words,
+    accepting states that also reject, directions that disagree with the
+    direction map, and reversible triples with several entries.
+    """
+    docs = {**_ZOO_DOCS, **_DFA_DOCS}
+    doc = json.loads(docs[draw(st.sampled_from(sorted(docs)))])
+    trans = doc["transitions"]
+    pick = st.integers(0, len(trans) - 1)
+    for _ in range(draw(st.integers(1, 4))):
+        item = trans[draw(pick)]
+        fault = draw(st.sampled_from([
+            "state", "symbol", "alphabet", "push", "ambiguous", "overlap",
+            "dir", "direction-map", "multivalued", "amp", "kind", "initial"]))
+        if fault == "state":
+            item[draw(st.sampled_from(["from", "to"]))] = draw(st.sampled_from(["u", "v", doc["initial"]]))
+        elif fault == "symbol":
+            field, name = draw(st.sampled_from([("input", "z"), ("stack_top", "9"), ("input", "#"),
+                                                ("stack_top", "Z0"), ("input", "Z0")]))
+            item[field] = name
+        elif fault == "alphabet":
+            field = draw(st.sampled_from(["input_alphabet", "stack_alphabet"]))
+            if doc[field]:
+                doc[field].pop(draw(st.integers(0, len(doc[field]) - 1)))
+        elif fault == "push":
+            item["push"] = draw(st.sampled_from(
+                ["", "zz", "Z0", "Z0Z0", item["stack_top"] * 2, item["stack_top"] * 3,
+                 item["stack_top"] + "Z0", "Z0" + item["stack_top"]]
+                + [a + b for a in doc["stack_alphabet"][:2] for b in doc["stack_alphabet"][:2]]))
+        elif fault == "ambiguous":
+            if doc["stack_alphabet"]:
+                sym = doc["stack_alphabet"][0]
+                doc["stack_alphabet"].append(sym * 2)
+                item["push"] = sym * 3
+        elif fault == "overlap":
+            if doc["accepting"]:
+                doc["rejecting"].append(draw(st.sampled_from(doc["accepting"])))
+        elif fault == "dir":
+            item["dir"] = "stay" if item["dir"] == "advance" else "advance"
+        elif fault == "direction-map":
+            dirs = doc.setdefault("direction", {})
+            change = draw(st.sampled_from(["flip", "drop", "ghost"]))
+            if change == "ghost":
+                dirs["ghost"] = "stay"
+            elif dirs:
+                q = draw(st.sampled_from(sorted(dirs)))
+                if change == "drop":
+                    del dirs[q]
+                else:
+                    dirs[q] = "stay" if dirs[q] == "advance" else "advance"
+        elif fault == "multivalued":
+            # a second entry for the triple, often with only the direction or push word changed
+            twin = draw(st.sampled_from([
+                dict(item, dir="stay" if item["dir"] == "advance" else "advance"),
+                dict(item, push=item["stack_top"] if item["push"] != item["stack_top"] else ""),
+                dict(item, to=draw(st.sampled_from(doc["states"])),
+                     dir=draw(st.sampled_from(["stay", "advance"])))]))
+            trans.insert(draw(st.integers(0, len(trans))), twin)
+        elif fault == "amp":
+            item["amp"] = draw(st.sampled_from(["0", "2", "1/2", "-1", "(0,1)", "sqrt(1/2)", "1.0000000001"]))
+        elif fault == "kind":
+            doc["kind"] = draw(st.sampled_from(["general", "simplified", "reversible"]))
+        else:
+            doc["initial"] = draw(st.sampled_from(["u", doc["states"][-1]]))
+    return doc
+
+
 class TestLoaderFuzz:
     @settings(max_examples=150, deadline=None)
     @given(_spliced_docs())
     def test_load_fails_cleanly_or_round_trips(self, doc):
+        assert_loads_like_oracle(doc)
         try:
             spec = qpa_from_dict(doc)
         except (ParseError, StructureError):
             return
         text = qpa_dumps(spec)
         assert qpa_dumps(qpa_loads(text)) == text
+
+    @settings(max_examples=200, deadline=None)
+    @given(_mutated_docs())
+    def test_mutated_documents_load_like_the_oracle(self, doc):
+        assert_loads_like_oracle(doc)
+
+    @pytest.mark.parametrize("name", sorted({**_ZOO_DOCS, **_DFA_DOCS}))
+    def test_stored_documents_load_like_the_oracle(self, name):
+        assert_loads_like_oracle(json.loads({**_ZOO_DOCS, **_DFA_DOCS}[name]))

@@ -5,7 +5,7 @@ import pytest
 
 from qpakit import zoo
 from qpakit.dfa2rpa import compile_dfa
-from qpakit.model import DfaSpec
+from qpakit.model import DfaSpec, Direction, StructureError, validate_structure
 from qpakit.wellformed import (
     MissingDirectionError,
     as_general,
@@ -292,3 +292,21 @@ def test_memo_keeps_int_and_float_tolerances_apart():
     assert check_all(spec, tol=0).tolerance == 0
     assert type(check_all(spec, tol=0.0).tolerance) is float
     assert type(check_all(spec, tol=0).tolerance) is int
+
+
+class TestUndeclaredSource:
+    """A table built in code may store entries the loader would refuse."""
+
+    @pytest.mark.parametrize("source", [("u", "x", "1"), ("p", "y", "1"), ("p", "x", "9")],
+                             ids=["state", "tape-symbol", "popped-symbol"])
+    @pytest.mark.parametrize("suite", ["general", "simplified"])
+    def test_check_all_raises_the_structure_violations(self, source, suite):
+        spec = make_spec(
+            sigma={"x"}, t={"1"}, states={"p"}, q0="p", q_acc=(), q_rej=(),
+            entries=[(*source, "p", Direction.STAY, ("1",), 1.0)],
+            kind="simplified", directions={"p": Direction.STAY},
+        )
+        with pytest.raises(StructureError) as err:
+            check_all(spec, suite=suite)
+        assert err.value.violations == validate_structure(spec)
+        assert err.value.violations

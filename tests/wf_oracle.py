@@ -1,14 +1,20 @@
 """Reference condition suite: the exhaustive quantifier loops.
 
-``qpakit.wellformed`` visits only the tuples whose sums have a term.  This
-module keeps the scans that visit every tuple, so tests can compare the two
-summaries byte for byte.  The scans are the loops the package used before
-its sparse join, unchanged; only the collector they feed is local.  That
+``qpakit.wellformed`` visits only the tuples whose sums have a term, on
+indexes built from the spec's compiled table.  This module keeps the
+scans that visit every tuple, so tests can compare the two summaries byte
+for byte.  The scans are the loops the package used before its sparse
+join, unchanged, and so are the dense, string-keyed tables they read
+(``_Tables``, built for every declared source, in ``sorted(spec.delta)``
+order so that neither their entry order nor their summation order comes
+from the compiled table); only the collector they feed is local.  That
 collector is written out independently of the package's and serves several
 ``(tol, max_reports)`` settings from one scan, which keeps the exhaustive
 loops affordable in a test run.
 """
 from __future__ import annotations
+
+from dataclasses import dataclass, field
 
 from qpakit.model import Direction, QpaSpec
 from qpakit.wellformed import (
@@ -16,12 +22,66 @@ from qpakit.wellformed import (
     ConditionResult,
     ConditionSummary,
     _require_direction,
-    _tables,
-    _Tables,
 )
 
 _STAY = Direction.STAY
 _ADV = Direction.ADVANCE
+
+
+@dataclass
+class _Tables:
+    """Per-source and per-target index maps over the stored entries."""
+
+    sources: list[tuple[str, str, str]] = field(default_factory=list)
+    full: dict = field(default_factory=dict)      # src -> {(q,d,omega): amp}
+    singles: dict = field(default_factory=dict)   # src -> {(q,d,sym): amp}
+    doubles: dict = field(default_factory=dict)   # src -> {(q,d,s0,s1): amp}
+    eps: dict = field(default_factory=dict)       # src -> {(q,d): amp}
+    stay_w: dict = field(default_factory=dict)    # src -> {(q,omega): amp}
+    adv_w: dict = field(default_factory=dict)     # src -> {(q,omega): amp}
+    adv_in: dict = field(default_factory=dict)    # (q1,sigma) -> {omega: sum |amp|^2}
+    stay_in: dict = field(default_factory=dict)   # (q1,sigma) -> {omega: sum |amp|^2}
+
+
+def _build_tables(spec: QpaSpec) -> _Tables:
+    t = _Tables()
+    al = spec.alphabets
+    t.sources = [
+        (q, s, tau)
+        for q in sorted(spec.states)
+        for s in al.gamma_sorted()
+        for tau in al.delta_sorted()
+    ]
+    for src in t.sources:
+        t.full[src] = {}
+        t.singles[src] = {}
+        t.doubles[src] = {}
+        t.eps[src] = {}
+        t.stay_w[src] = {}
+        t.adv_w[src] = {}
+    for key in sorted(spec.delta):
+        amp = spec.delta[key]
+        src = (key.q1, key.sigma, key.tau)
+        t.full[src][(key.q, key.d, key.omega)] = amp
+        if len(key.omega) == 0:
+            t.eps[src][(key.q, key.d)] = amp
+        elif len(key.omega) == 1:
+            t.singles[src][(key.q, key.d, key.omega[0])] = amp
+        else:
+            t.doubles[src][(key.q, key.d, key.omega[0], key.omega[1])] = amp
+        (t.stay_w if key.d is _STAY else t.adv_w)[src][(key.q, key.omega)] = amp
+        into = t.adv_in if key.d is _ADV else t.stay_in
+        bucket = into.setdefault((key.q, key.sigma), {})
+        bucket[key.omega] = bucket.get(key.omega, 0.0) + abs(amp) ** 2
+    return t
+
+
+def _tables(spec: QpaSpec) -> _Tables:
+    cached = getattr(spec, "_wf_oracle_tables", None)
+    if cached is None:
+        cached = _build_tables(spec)
+        object.__setattr__(spec, "_wf_oracle_tables", cached)
+    return cached
 
 
 class _Collector:

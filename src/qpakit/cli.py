@@ -1,18 +1,20 @@
 """Command-line surface: check, run, batch, compile-dfa, matrix, zoo.
 
-Exit codes follow the per-command contracts:
+Exit codes 0-2 are verdicts, per command:
 
-    check        0 all conditions pass, 2 violations, 3 parse/structure error
-    run          0 accepted, 1 rejected, 2 inconclusive, 3 error
-    batch        0 all rows completed, 3 I/O or run error
-    compile-dfa  0 compiled and verified, 3 error
-    matrix       0 within tolerance, 2 deviations, 3 error
-    zoo          0 ok, 3 unknown name
+    check        0 all conditions pass, 2 violations
+    run          0 accepted, 1 rejected, 2 inconclusive
+    batch        0 all rows completed
+    compile-dfa  0 compiled and verified
+    matrix       0 within tolerance, 2 deviations
+    zoo          0 ok
 
-``QPAKIT_TOLERANCE`` and ``QPAKIT_OUTPUT`` provide environment defaults;
-explicit flags always win.  A tolerance that is not a finite number >= 0
-is an error (exit 3).  Rerunning a command on the same inputs
-produces byte-identical json/csv output.
+Every failure exits 3 with one ``error: <message>`` line on stderr: a
+usage error, a missing, non-UTF-8, too deeply nested or malformed input,
+an unwritable output, a bad tolerance.  ``QPAKIT_TOLERANCE`` and
+``QPAKIT_OUTPUT`` provide environment defaults; explicit flags always
+win.  Rerunning a command on the same inputs produces byte-identical
+json/csv output.
 """
 from __future__ import annotations
 
@@ -22,14 +24,15 @@ import json
 import math
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import matrixlab, zoo
 from .dfa2rpa import compile_dfa
 from .evolve import (_fold, check_max_steps, check_threshold, decide, next_above_half,
                      recognize, result_to_dict, trace_to_dict)
-from .io import ParseError, load_dfa, load_qpa, save_qpa, qpa_dumps
-from .model import QpaError, StructureError, validate_structure
+from .io import load_dfa, load_qpa, save_qpa, qpa_dumps
+from .model import QpaError, validate_structure
 from .wellformed import DEFAULT_TOL, check_all, summary_to_dict
 
 EXIT_OK = 0
@@ -129,25 +132,10 @@ def _want_json(args) -> bool:
     return os.environ.get("QPAKIT_OUTPUT", "").strip().lower() == "json"
 
 
-def _load_spec_or_fail(path: str):
-    try:
-        return load_qpa(path), None
-    except (OSError, ParseError, StructureError, QpaError) as exc:
-        return None, str(exc)
-
-
 def cmd_check(args) -> int:
-    spec, err = _load_spec_or_fail(args.file)
-    if spec is None:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        tol = _tolerance(args.tolerance, DEFAULT_TOL)
-        summary = check_all(spec, tol=tol, suite="simplified" if args.simplified else None)
-    except (QpaError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    passed = summary.passed
+    spec = load_qpa(args.file)
+    tol = _tolerance(args.tolerance, DEFAULT_TOL)
+    summary = check_all(spec, tol=tol, suite="simplified" if args.simplified else None)
     doc = summary_to_dict(summary)
     lines = []
     for cond in doc["conditions"]:
@@ -157,28 +145,16 @@ def cmd_check(args) -> int:
             f"  violations {cond['violations']}")
         for w in cond["witnesses"][:3]:
             lines.append(f"       witness {w['witness']}  residual {w['residual']:.3e}")
-    lines.append("result: " + ("well-formed" if passed else "NOT well-formed"))
+    lines.append("result: " + ("well-formed" if summary.passed else "NOT well-formed"))
     _emit(doc, _want_json(args), lines)
-    return EXIT_OK if passed else EXIT_VIOLATIONS
-
-
-def _effective_threshold(value: float | None) -> float:
-    return next_above_half() if value is None else value
+    return EXIT_OK if summary.passed else EXIT_VIOLATIONS
 
 
 def cmd_run(args) -> int:
-    spec, err = _load_spec_or_fail(args.file)
-    if spec is None:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
-    threshold = _effective_threshold(args.threshold)
-    try:
-        steps = [] if args.trace else None
-        result = _fold(spec, args.word, max_steps=args.max_steps, force=args.force, trace_out=steps)
-        verdict = decide(result, threshold)
-    except (QpaError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    spec = load_qpa(args.file)
+    steps = [] if args.trace else None
+    result = _fold(spec, args.word, max_steps=args.max_steps, force=args.force, trace_out=steps)
+    verdict = decide(result, args.threshold)
     doc = {"word": args.word, **result_to_dict(result), "decision": verdict}
     lines = [
         f"word      {args.word!r}",
@@ -198,29 +174,17 @@ def cmd_run(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    spec, err = _load_spec_or_fail(args.file)
-    if spec is None:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
-    threshold = _effective_threshold(args.threshold)
-    try:
-        check_max_steps(args.max_steps)
-        check_threshold(threshold)
-        words = Path(args.words).read_text(encoding="utf-8").splitlines()
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    spec = load_qpa(args.file)
+    check_max_steps(args.max_steps)
+    check_threshold(args.threshold)
+    words = Path(args.words).read_text(encoding="utf-8").splitlines()
     rows = []
-    try:
-        for word in words:
-            result = recognize(spec, word, max_steps=args.max_steps, force=args.force)
-            rows.append((word, result, decide(result, threshold)))
-    except (QpaError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    for word in words:
+        result = recognize(spec, word, max_steps=args.max_steps, force=args.force)
+        rows.append((word, result, decide(result, args.threshold)))
     out_path = args.csv_out
-    try:
-        handle = open(out_path, "w", newline="", encoding="utf-8") if out_path else sys.stdout
+    with (open(out_path, "w", newline="", encoding="utf-8") if out_path
+          else nullcontext(sys.stdout)) as handle:
         writer = csv.writer(handle)
         writer.writerow(["word", "p_accept", "p_reject", "p_nonhalt", "steps", "halted", "decision"])
         for word, result, verdict in rows:
@@ -228,49 +192,30 @@ def cmd_batch(args) -> int:
                 word, repr(result.p_accept), repr(result.p_reject), repr(result.p_nonhalt),
                 result.steps, result.halted, verdict,
             ])
-        if out_path:
-            handle.close()
-            print(f"wrote {len(rows)} rows to {out_path}")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    if out_path:
+        print(f"wrote {len(rows)} rows to {out_path}")
     return EXIT_OK
 
 
 def cmd_compile_dfa(args) -> int:
-    try:
-        tol = _tolerance(args.tolerance, DEFAULT_TOL)
-        dfa = load_dfa(args.infile)
-        rpa = compile_dfa(dfa)
-        summary = check_all(rpa, tol=tol, suite="simplified")
-        if not summary.passed:
-            print(f"error: compiled table failed {summary.total_violations} condition checks",
-                  file=sys.stderr)
-            return EXIT_ERROR
-        structural = validate_structure(rpa)
-        if structural:
-            print(f"error: compiled table has {len(structural)} structure violations", file=sys.stderr)
-            return EXIT_ERROR
-        save_qpa(rpa, args.outfile)
-    except (OSError, ParseError, StructureError, QpaError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    tol = _tolerance(args.tolerance, DEFAULT_TOL)
+    rpa = compile_dfa(load_dfa(args.infile))
+    summary = check_all(rpa, tol=tol, suite="simplified")
+    if not summary.passed:
+        raise QpaError(f"compiled table failed {summary.total_violations} condition checks")
+    structural = validate_structure(rpa)
+    if structural:
+        raise QpaError(f"compiled table has {len(structural)} structure violations")
+    save_qpa(rpa, args.outfile)
     print(f"compiled {len(rpa.states)}-state reversible automaton to {args.outfile}")
     return EXIT_OK
 
 
 def cmd_matrix(args) -> int:
-    spec, err = _load_spec_or_fail(args.file)
-    if spec is None:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        tol = _tolerance(args.tolerance, matrixlab.DEFAULT_MATRIX_TOL)
-        window = matrixlab.enumerate_window(spec, args.word, args.radius)
-        matrix = matrixlab.build_matrix(spec, window)
-    except (matrixlab.WindowCapError, QpaError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    spec = load_qpa(args.file)
+    tol = _tolerance(args.tolerance, matrixlab.DEFAULT_MATRIX_TOL)
+    window = matrixlab.enumerate_window(spec, args.word, args.radius)
+    matrix = matrixlab.build_matrix(spec, window)
     doc = {"dim": matrix.dim, "word": args.word, "radius": args.radius}
     lines = [f"window: {matrix.dim} configurations "
              f"({len(matrix.interior_cols)} interior columns, {len(matrix.interior_rows)} interior rows)"]
@@ -316,8 +261,7 @@ def cmd_zoo(args) -> int:
         return EXIT_OK
     name = args.name
     if name not in specs:
-        print(f"error: unknown fixture {name!r}; have {sorted(specs)}", file=sys.stderr)
-        return EXIT_ERROR
+        raise QpaError(f"unknown fixture {name!r}; have {sorted(specs)}")
     text = qpa_dumps(specs[name])
     if args.outfile:
         Path(args.outfile).write_text(text, encoding="utf-8")
@@ -327,9 +271,14 @@ def cmd_zoo(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise QpaError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="qpakit", description=__doc__,
-                                formatter_class=argparse.RawDescriptionHelpFormatter)
+    p = _Parser(prog="qpakit", description=__doc__,
+                formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_common(sp):
@@ -347,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("word")
     sp.add_argument("--max-steps", type=int, default=None)
-    sp.add_argument("--threshold", type=float, default=None)
+    sp.add_argument("--threshold", type=float, default=next_above_half())
     sp.add_argument("--trace", action="store_true")
     sp.add_argument("--force", action="store_true",
                     help="run even if the table is not well-formed")
@@ -359,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("words")
     sp.add_argument("--csv-out", default=None)
     sp.add_argument("--max-steps", type=int, default=None)
-    sp.add_argument("--threshold", type=float, default=None)
+    sp.add_argument("--threshold", type=float, default=next_above_half())
     sp.add_argument("--force", action="store_true")
     sp.set_defaults(fn=cmd_batch)
 
@@ -393,8 +342,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.fn(args)
+    """Run one command; every failure is one ``error:`` line on stderr and exit 3."""
+    try:
+        args = build_parser().parse_args(argv)
+        return args.fn(args)
+    except (OSError, ValueError, QpaError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

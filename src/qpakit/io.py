@@ -236,12 +236,18 @@ def qpa_dumps(spec: QpaSpec) -> str:
     return json.dumps(qpa_to_dict(spec), indent=2) + "\n"
 
 
-def qpa_loads(text: str, validate: bool = True) -> QpaSpec:
+def _json_loads(text: str):
+    """``json.loads``, with every way the text can fail to parse a ParseError."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
-    return qpa_from_dict(doc, validate=validate)
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
+
+
+def qpa_loads(text: str, validate: bool = True) -> QpaSpec:
+    return qpa_from_dict(_json_loads(text), validate=validate)
 
 
 def load_qpa(path: str | Path, validate: bool = True) -> QpaSpec:
@@ -300,11 +306,7 @@ def dfa_to_dict(dfa: DfaSpec) -> dict:
 
 
 def load_dfa(path: str | Path) -> DfaSpec:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    return dfa_from_dict(doc)
+    return dfa_from_dict(_json_loads(Path(path).read_text(encoding="utf-8")))
 
 
 def save_dfa(dfa: DfaSpec, path: str | Path) -> None:

@@ -153,10 +153,12 @@ def enumerate_window(spec: QpaSpec, word, radius: int, cap: int = WINDOW_CAP) ->
         raise ValueError("radius must be nonnegative")
     tape = TapeContext.from_word(spec, word)
     stack_limit = radius + 2
-    predicted = len(spec.states) * len(tape) * _count_stacks(len(spec.alphabets.t), stack_limit)
-    if predicted > cap:
-        raise WindowCapError(
-            f"window of {predicted} configurations exceeds the cap of {cap}")
+    # with two or more stack symbols every layer at least doubles the count,
+    # so more than cap.bit_length() + 1 layers are over the cap already
+    n_symbols = len(spec.alphabets.t)
+    depth = stack_limit if n_symbols < 2 else min(stack_limit, cap.bit_length() + 1)
+    if len(spec.states) * len(tape) * _count_stacks(n_symbols, depth) > cap:
+        raise WindowCapError(f"window of radius {radius} exceeds the cap of {cap} configurations")
 
     # sorted Configuration order, generated field by field
     stacks = sorted(_enumerate_stacks(spec.alphabets.t_sorted(), stack_limit))
@@ -215,31 +217,22 @@ def build_matrix(spec: QpaSpec, window: ConfigWindow) -> TruncatedMatrix:
 # --- unitarity checks ---------------------------------------------------------
 
 
-def _col_gram_deviation(matrix: TruncatedMatrix, storage: str = "auto") -> float:
-    if storage == "auto":
-        storage = "dense" if matrix.dim < GRAM_DENSE_LIMIT else "sparse"
-    if storage not in ("dense", "sparse"):
-        raise ValueError(f"unknown storage {storage!r}")
+def _col_gram_deviation(matrix: TruncatedMatrix, dense: bool | None = None) -> float:
+    """max |G - I| over the Gram matrix G of the interior columns, NaN if any entry is.
+
+    Dense below ``GRAM_DENSE_LIMIT``, sparse from there on, unless
+    ``dense`` says otherwise; both give the same number.
+    """
     interior = sorted(matrix.interior_cols)
     if not interior:
         return 0.0
-    k = len(interior)
-    if storage == "dense":
-        sub = matrix.to_dense()[:, interior]
-        gram = sub.conj().T @ sub
-        return float(np.abs(gram - np.eye(k)).max())
-    sub = matrix.to_sparse()[:, interior]
-    gram = (sub.getH() @ sub).tocoo()
-    dev = 0.0
-    seen_diag = np.zeros(k, dtype=bool)
-    for r, c, v in zip(gram.row, gram.col, gram.data):
-        target = 1.0 if r == c else 0.0
-        if r == c:
-            seen_diag[r] = True
-        dev = max(dev, abs(v - target))
-    if not seen_diag.all():
-        dev = max(dev, 1.0)
-    return float(dev)
+    if dense is None:
+        dense = matrix.dim < GRAM_DENSE_LIMIT
+    if dense:
+        sub, eye = matrix.to_dense()[:, interior], np.eye(len(interior))
+    else:
+        sub, eye = matrix.to_sparse()[:, interior], sp.identity(len(interior))
+    return float(abs(sub.conj().T @ sub - eye).max())
 
 
 def _interior_row_norms_squared(matrix: TruncatedMatrix) -> np.ndarray:
@@ -254,15 +247,9 @@ def _row_deviation(matrix: TruncatedMatrix) -> float:
 
 
 def check_truncated_unitarity(matrix: TruncatedMatrix,
-                              tol: float = DEFAULT_MATRIX_TOL,
-                              storage: str = "auto") -> UnitarityReport:
-    """Interior columns pairwise orthonormal and interior rows unit-norm.
-
-    ``storage`` selects the dense or sparse code path; "auto" uses dense
-    below ``GRAM_DENSE_LIMIT`` and sparse from there on, and both paths
-    give identical results.
-    """
-    col_dev = _col_gram_deviation(matrix, storage)
+                              tol: float = DEFAULT_MATRIX_TOL) -> UnitarityReport:
+    """Interior columns pairwise orthonormal and interior rows unit-norm."""
+    col_dev = _col_gram_deviation(matrix)
     row_dev = _row_deviation(matrix)
     return UnitarityReport(
         col_deviation=col_dev,
@@ -281,7 +268,7 @@ def row_norm_bound_probe(matrix: TruncatedMatrix, tol: float = 1e-9) -> float:
     the bound only holds for isometries.
     """
     col_dev = _col_gram_deviation(matrix)
-    if col_dev > tol:
+    if not col_dev <= tol:      # NaN included
         raise QpaError(
             f"interior columns are not orthonormal (deviation {col_dev:.3g}); "
             "row bound not applicable")

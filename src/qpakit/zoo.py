@@ -92,25 +92,16 @@ class ComparatorTable:
 
     def as_rpa(self, name: str = "") -> QpaSpec:
         """Standalone recognizer for equal counts of ``x`` and ``y``."""
-        sigma = frozenset((self.x, self.y, *self.ignore))
-        delta = {}
-        literals = {}
-        for q1, s, tau, q, om in self.entries:
-            key = TransitionKey(q1=q1, sigma=s, tau=tau, q=q,
-                                d=self.directions[q], omega=om)
-            delta[key] = 1.0 + 0.0j
-            literals[key] = "1"
-        return QpaSpec(
-            alphabets=Alphabets(sigma=sigma, t=frozenset(_STACK_SYMS)),
-            states=frozenset(self.states),
-            q0=self.scan,
-            q_accept=frozenset({self.accept}),
-            q_reject=frozenset({self.reject}),
-            delta=delta,
-            kind=KIND_REVERSIBLE,
-            direction_fn=dict(self.directions),
-            amp_literals=literals,
+        return _spec_from_rows(
             name=name or f"compare-{self.x}-{self.y}",
+            sigma=(self.x, self.y, *self.ignore),
+            states=self.states,
+            q0=self.scan,
+            q_accept=(self.accept,),
+            q_reject=(self.reject,),
+            kind=KIND_REVERSIBLE,
+            directions=self.directions,
+            rows=[(*row, "1") for row in self.entries],
         )
 
 

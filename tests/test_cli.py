@@ -1,5 +1,9 @@
 """Command-line behavior: exit codes, output formats, determinism."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -410,3 +414,63 @@ class TestStepBudgetArgument:
         doc = json.loads(capsys.readouterr().out)
         assert doc["trace"] == [] and doc["steps"] == 0 and doc["p_nonhalt"] == 1.0
         assert doc["halted"] is False
+
+
+# The exit-3 contract: every failure, whatever the command, is exit 3 and
+# one ``error:`` line on stderr.  {src} is an unreadable input, {dst} an
+# output that cannot be written; the other names are good files.
+READS = ["check {src}", "run {src} ab", "batch {src} {words}", "compile-dfa {src} {out}",
+         "matrix {src} --word ab --radius 1"]
+WRITES = ["batch {l2} {words} --csv-out {dst}", "compile-dfa {dfa} {dst}",
+          "matrix {l2} --word ab --radius 1 --dump {dst}", "zoo export l2 {dst}"]
+USAGE = ["", "check", "check {l2} --bogus", "run {l2} ab --max-steps abc", "batch {l2}",
+         "compile-dfa {dfa}", "matrix {l2} --radius abc", "zoo", "zoo list extra", "zoo export"]
+ERROR_COMMANDS = (
+    [t.replace("{src}", "{%s}" % src) for t in READS
+     for src in ("missing", "directory", "non_utf8", "deep")]
+    + ["batch {l2} {missing}", "batch {l2} {directory}", "batch {l2} {non_utf8}"]
+    + [t.replace("{dst}", "{%s}" % dst) for t in WRITES for dst in ("unwritable", "directory")]
+    + USAGE)
+
+
+@pytest.fixture(scope="module")
+def bad(files, tmp_path_factory):
+    root = tmp_path_factory.mktemp("bad")
+    (root / "non_utf8.json").write_bytes(b'\xff{"kind": "general"}')
+    (root / "deep.json").write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    (root / "words.txt").write_text("ab\n", encoding="utf-8")
+    return {
+        **files,
+        "missing": str(root / "missing.json"),
+        "directory": str(root),
+        "non_utf8": str(root / "non_utf8.json"),
+        "deep": str(root / "deep.json"),
+        "unwritable": str(root / "no" / "such" / "dir" / "out.json"),
+        "words": str(root / "words.txt"),
+        "out": str(root / "out.json"),
+    }
+
+
+class TestErrorBoundary:
+    @pytest.mark.parametrize("template", ERROR_COMMANDS)
+    def test_exits_three_with_one_error_line(self, template, bad, capsys):
+        assert main(template.format_map(bad).split()) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["", "check", "run", "batch", "compile-dfa", "matrix",
+                                         "zoo", "zoo export"])
+    def test_help_exits_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([*command.split(), "--help"])
+        assert info.value.code == 0
+        assert "usage: qpakit" in capsys.readouterr().out
+
+    def test_module_entry_point_exits_three_on_a_usage_error(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-m", "qpakit", "run"], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert (out.returncode, out.stdout) == (3, "")
+        assert out.stderr == "error: qpakit run: the following arguments are required: file, word\n"

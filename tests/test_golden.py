@@ -1,4 +1,4 @@
-"""Golden CLI outputs: exit code and stdout of the commands below, byte for byte.
+"""Golden CLI outputs: exit code, stdout and stderr of the commands below, byte for byte.
 
 The inputs and the expected outputs live in ``tests/golden/``.  They are
 written by running this module as a script from the repository root::
@@ -6,10 +6,10 @@ written by running this module as a script from the repository root::
     PYTHONPATH=src python tests/test_golden.py
 
 which exports the inputs (the zoo fixtures, ``l5`` with every amplitude
-multiplied by 0.9 and one compiled DFA), runs every command in-process
-through ``qpakit.cli.main`` and records what it printed.  Regenerate them
-only on purpose: the test exists to show that a change leaves the output
-alone.
+multiplied by 0.9, one compiled DFA and the broken inputs of the error
+commands), runs every command in-process through ``qpakit.cli.main`` and
+records what it printed.  Regenerate them only on purpose: the test
+exists to show that a change leaves the output alone.
 """
 import contextlib
 import io
@@ -45,6 +45,39 @@ DFA = {
 }
 
 
+# broken inputs for the error commands: not JSON, a DFA that is not
+# total, and l2 with a direction for an undeclared state
+GARBAGE = "not json at all\n"
+PARTIAL_DFA = {"states": ["s0"], "alphabet": ["0", "1"], "initial": "s0", "finals": [],
+               "transitions": [{"from": "s0", "input": "0", "to": "s0"}]}
+
+# commands that fail with exit 3 and one error line
+ERRORS = [
+    ["check", "missing.json"],
+    ["check", "garbage.json"],
+    ["check", "ghost.json"],
+    ["check", "l2.json", "--tolerance", "-1"],
+    ["check", "l2.json", "--tolerance", "abc"],
+    ["run", "missing.json", "ab"],
+    ["run", "l2.json", "xyz"],
+    ["run", "l2.json", "ab", "--max-steps", "-1"],
+    ["run", "l2.json", "ab", "--threshold", "0.5"],
+    ["batch", "l2.json", "missing.words"],
+    ["batch", "l2.json", "l2.words", "--max-steps", "-1"],
+    ["batch", "l2.json", "l1.words"],
+    ["batch", "l2.json", "l2.words", "--csv-out", "."],
+    ["compile-dfa", "missing.json", "out.json"],
+    ["compile-dfa", "partial-dfa.json", "out.json"],
+    ["compile-dfa", "partial-dfa.json", "out.json", "--tolerance", "nan"],
+    ["compile-dfa", "l2.json", "out.json"],
+    ["matrix", "missing.json"],
+    ["matrix", "l2.json", "--radius", "-1"],
+    ["matrix", "l2.json", "--word", "xyz"],
+    ["matrix", "l2.json", "--tolerance", "-1"],
+    ["zoo", "export", "l9"],
+]
+
+
 def commands(kinds: dict[str, str]) -> list[list[str]]:
     """Every command of the golden set, given each input's kind."""
     out = []
@@ -56,17 +89,17 @@ def commands(kinds: dict[str, str]) -> list[list[str]]:
         for word in words:
             out += [["run", path, word, "--json"], ["run", path, word, "--trace", "--json"]]
         out.append(["batch", path, f"{name}.words"])
-    return out
+    return out + ERRORS
 
 
-def run_cli(argv: list[str]) -> tuple[int, str]:
-    """Exit code and stdout of one command, as the generator records them."""
+def run_cli(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one command, as the generator records them."""
     from qpakit.cli import main
 
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, buf.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def write_golden() -> None:
@@ -84,11 +117,16 @@ def write_golden() -> None:
     for name in WORDS:
         (GOLDEN / f"{name}.json").write_text(json.dumps(docs[name], indent=2) + "\n", encoding="utf-8")
         (GOLDEN / f"{name}.words").write_text("".join(w + "\n" for w in WORDS[name]), encoding="utf-8")
+    ghost = json.loads(json.dumps(docs["l2"]))
+    ghost["direction"]["ghost"] = "stay"
+    (GOLDEN / "ghost.json").write_text(json.dumps(ghost, indent=2) + "\n", encoding="utf-8")
+    (GOLDEN / "partial-dfa.json").write_text(json.dumps(PARTIAL_DFA, indent=2) + "\n", encoding="utf-8")
+    (GOLDEN / "garbage.json").write_text(GARBAGE, encoding="utf-8")
     os.chdir(GOLDEN)
     records = []
     for argv in commands({name: docs[name]["kind"] for name in WORDS}):
-        code, stdout = run_cli(argv)
-        records.append({"argv": argv, "exit": code, "stdout": stdout})
+        code, stdout, stderr = run_cli(argv)
+        records.append({"argv": argv, "exit": code, "stdout": stdout, "stderr": stderr})
     OUTPUTS.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
 
 
@@ -103,7 +141,8 @@ def test_golden_outputs(monkeypatch, capsys):
     assert [r["argv"] for r in records] == commands(kinds)
     for r in records:
         code = main(r["argv"])
-        assert (code, capsys.readouterr().out) == (r["exit"], r["stdout"]), r["argv"]
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (r["exit"], r["stdout"], r["stderr"]), r["argv"]
 
 
 if __name__ == "__main__":

@@ -8,7 +8,11 @@ from qpakit import zoo
 from qpakit.dfa2rpa import compile_dfa
 from qpakit.evolve import Configuration, apply_evolution, initial_superposition
 from qpakit.matrixlab import (
+    GRAM_DENSE_LIMIT,
+    WINDOW_CAP,
     WindowCapError,
+    _col_gram_deviation,
+    _matrix_from_triplets,
     banded_associativity_probe,
     build_matrix,
     check_truncated_unitarity,
@@ -47,6 +51,21 @@ class TestWindow:
         spec = zoo.l2_rpa().spec
         with pytest.raises(WindowCapError):
             enumerate_window(spec, "ab", 40)
+
+    @pytest.mark.parametrize("radius", [40, 14000, 100000])
+    def test_cap_message_names_the_cap_not_the_count(self, radius):
+        spec = zoo.l2_rpa().spec
+        with pytest.raises(WindowCapError) as info:
+            enumerate_window(spec, "ab", radius)
+        assert str(info.value) == (
+            f"window of radius {radius} exceeds the cap of {WINDOW_CAP} configurations")
+
+    def test_cap_is_exact(self):
+        spec = zoo.l2_rpa().spec
+        dim = len(enumerate_window(spec, "ab", 3))
+        assert len(enumerate_window(spec, "ab", 3, cap=dim)) == dim
+        with pytest.raises(WindowCapError):
+            enumerate_window(spec, "ab", 3, cap=dim - 1)
 
     def test_leftmost_rows_are_boundary(self):
         spec = zoo.l1_rpa().spec
@@ -117,11 +136,20 @@ class TestTruncatedUnitarity:
         spec = zoo.l2_rpa().spec
         w = enumerate_window(spec, "ab", 4)
         m = build_matrix(spec, w)
-        dense = check_truncated_unitarity(m, storage="dense")
-        sparse = check_truncated_unitarity(m, storage="sparse")
-        assert dense.col_deviation == sparse.col_deviation
-        assert dense.row_deviation == sparse.row_deviation
-        assert dense.passed == sparse.passed
+        dense = _col_gram_deviation(m, dense=True)
+        assert _col_gram_deviation(m, dense=False) == dense
+        assert check_truncated_unitarity(m).col_deviation == dense
+
+    @pytest.mark.parametrize("dim", [2, GRAM_DENSE_LIMIT])
+    def test_nan_column_is_reported_on_both_sides_of_the_cut(self, dim):
+        m = _matrix_from_triplets(dim, range(dim), range(dim), [math.nan] + [1.0] * (dim - 1),
+                                  range(dim), range(dim))
+        assert math.isnan(_col_gram_deviation(m, dense=True))
+        assert math.isnan(_col_gram_deviation(m, dense=False))
+        rep = check_truncated_unitarity(m)
+        assert math.isnan(rep.col_deviation) and not rep.passed
+        with pytest.raises(QpaError):
+            row_norm_bound_probe(m)
 
 
 class TestShiftFixture:

@@ -152,6 +152,7 @@ def cmd_check(args) -> int:
 
 def cmd_run(args) -> int:
     spec = load_qpa(args.file)
+    check_threshold(args.threshold)
     steps = [] if args.trace else None
     result = _fold(spec, args.word, max_steps=args.max_steps, force=args.force, trace_out=steps)
     verdict = decide(result, args.threshold)

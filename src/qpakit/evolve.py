@@ -16,9 +16,9 @@ each run interns its stacks in a trie (hash-consing: a pop is the
 parent node, a push a child lookup) and a configuration is one int
 packing (stack id, head, state), so a step costs the same at any stack
 depth.  ``Configuration`` and ``Superposition.amplitudes`` are the
-public view, built only when asked for; the matrix lab builds
-``Configuration`` tuples only for its window's ``configs`` and steps a
-window on the same compiled rows through ``step_targets``.
+public view, built only when asked for; the matrix lab interns its
+window's stacks in a run's trie and steps them on the same compiled
+rows through ``step_targets``.
 """
 from __future__ import annotations
 
@@ -132,7 +132,7 @@ def _table(spec: QpaSpec) -> _Table:
 class _Run:
     """One spec on one tape: row lookup by packed (head, state) and the stack store.
 
-    A key is ``stack id << hshift | head << qbits | state id``.  The
+    A key (``pack``) is ``stack id << hshift | head << qbits | state id``.  The
     stack store is a trie over interned stacks: node 0 is the empty
     stack, ``parent``/``top`` give a node's stack minus its top and the
     top's symbol id, and ``child`` maps ``node << sym_bits | symbol`` to
@@ -200,7 +200,10 @@ class _Run:
             if s not in ids.sym_id:
                 raise QpaError(f"{config} holds {s!r}, which is not a stack symbol")
             sid = self.push(sid, ids.sym_id[s])
-        return (sid << self.hshift) | (config.head << self.qbits) | q
+        return self.pack(sid, config.head, q)
+
+    def pack(self, sid: int, head: int, q: int) -> int:
+        return (sid << self.hshift) | (head << self.qbits) | q
 
     def config(self, key: int) -> Configuration:
         return Configuration(self.table.ids.states[key & ((1 << self.qbits) - 1)],

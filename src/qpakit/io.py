@@ -40,6 +40,7 @@ _QPA_FIELDS = {
 _TRANSITION_FIELDS = {"from", "input", "stack_top", "to", "dir", "push", "amp"}
 _DFA_FIELDS = {"states", "alphabet", "initial", "finals", "transitions"}
 _DIRECTIONS = {d.value: d for d in Direction}
+_QUOTE_LIMIT = 80    # a longer word is quoted in an error by 24 characters around the fault
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -100,7 +101,10 @@ def tokenize_word(alphabets: Alphabets, word: str) -> tuple[str, ...]:
         for i in range(n):
             if i in reached:
                 reached.update(i + k for k in lengths if word[i:i + k] in sigma)
-        raise SymbolError(f"word {word!r} contains no declared symbol at position {max(reached)}")
+        pos = max(reached)
+        quoted = (repr(word) if n <= _QUOTE_LIMIT
+                  else f"of {n} characters, near {word[max(0, pos - 12):pos + 12]!r},")
+        raise SymbolError(f"word {quoted} contains no declared symbol at position {pos}")
     out: list[str] = []
     i = 0
     while i < n:

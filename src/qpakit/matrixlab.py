@@ -10,20 +10,20 @@ interior indices, where truncation cannot fake or hide a deviation:
   configuration lies inside the window and no branch runs off the right
   end of the tape;
 * a row is interior when every one-step predecessor lies inside the
-  window and the head is not on the leftmost cell.  The leftmost cell is
-  a tape edge: configurations there can lack advancing predecessors for
-  structural reasons, exactly as off-tape successors are a right-edge
-  artifact, so edge rows are boundary rather than evidence.  No
-  inversion of the table is needed: a row off the leftmost cell is
-  interior unless its stack is at the full window depth and some entry
-  pops a non-base symbol and pushes nothing into its state, from the
-  cell under its head (stay) or the cell to its left (advance).  Only
-  such an entry has a source deeper than its target, and the window
-  holds every state, head and stack up to its depth, so the test is
-  exact.
+  window and the head is not on the leftmost cell, a tape edge where
+  configurations can lack advancing predecessors for structural
+  reasons, as off-tape successors are a right-edge artifact.  The
+  window holds every declared state, head and stack up to its depth, so
+  a predecessor lies outside only by an entry from an undeclared state
+  or popping an undeclared symbol, or, into a full-depth row, by one
+  that pops a non-base symbol and pushes nothing.  An entry reaches a
+  row when it reads the row's cell (stay) or the one to its left
+  (advance), the stack ends with its push word and the base rule
+  holds, so the test is exact.
 
-Documentation elsewhere labels rows and columns 1-based; all indices in
-this module are 0-based.
+Window stacks are interned once each, by one push from the parent on a
+run's stack trie.  Documentation elsewhere labels rows and columns
+1-based; all indices in this module are 0-based.
 
 The module also ships the standalone fixtures used to probe the banded
 matrix facts: a shifted column-isometry whose truncations satisfy
@@ -41,7 +41,6 @@ import scipy.sparse as sp
 from .evolve import Configuration, TapeContext, _Run, step_targets
 from .model import Direction, STACK_BASE, QpaError, QpaSpec
 
-DENSE_LIMIT = 512          # dimension from which (AB)C vs A(BC) goes sparse
 GRAM_DENSE_LIMIT = 160     # dimension from which the Gram checks go sparse
 WINDOW_CAP = 10 ** 6
 DEFAULT_MATRIX_TOL = 1e-8
@@ -128,14 +127,6 @@ def _matrix_from_triplets(dim, rows, cols, vals, interior_cols, interior_rows) -
 # --- windows over configuration space ----------------------------------------
 
 
-def _enumerate_stacks(t_symbols: tuple[str, ...], stack_limit: int) -> list[tuple[str, ...]]:
-    out: list[tuple[str, ...]] = []
-    for depth in range(stack_limit):
-        for tail in product(t_symbols, repeat=depth):
-            out.append((STACK_BASE, *tail))
-    return out
-
-
 def _count_stacks(n_symbols: int, stack_limit: int) -> int:
     """Stacks of depth 1 to ``stack_limit``; ``stack_limit`` is at least 1."""
     return stack_limit if n_symbols == 1 else (n_symbols ** stack_limit - 1) // (n_symbols - 1)
@@ -160,18 +151,25 @@ def enumerate_window(spec: QpaSpec, word, radius: int, cap: int = WINDOW_CAP) ->
     if len(spec.states) * len(tape) * _count_stacks(n_symbols, depth) > cap:
         raise WindowCapError(f"window of radius {radius} exceeds the cap of {cap} configurations")
 
-    # sorted Configuration order, generated field by field
-    stacks = sorted(_enumerate_stacks(spec.alphabets.t_sorted(), stack_limit))
-    configs = [Configuration(q, h, s)
-               for q in sorted(spec.states) for h in range(len(tape)) for s in stacks]
-    index = {c: i for i, c in enumerate(configs)}
-
+    # Depth first on the run's stack trie, children in ascending id (sorted-name
+    # order): one push interns each stack, and configurations come out sorted.
     run = _Run(spec, tape)
-    by_key = {run.key(c): i for i, c in enumerate(configs)}
+    ids = run.table.ids
+    children = sorted((ids.sym_id[s] for s in spec.alphabets.t), reverse=True)
+    stacks = []
+    todo = [(run.push(0, ids.sym_id[STACK_BASE]), (STACK_BASE,))]
+    while todo:
+        sid, stack = todo.pop()
+        stacks.append((sid, stack))
+        if len(stack) < stack_limit:
+            todo += [(run.push(sid, c), stack + (ids.syms[c],)) for c in children]
+    states, heads = sorted(spec.states), range(len(tape))
+    configs = [Configuration(q, h, s) for q, h, (_, s) in product(states, heads, stacks)]
+    index = {c: i for i, c in enumerate(configs)}
+    by_key = {run.pack(sid, h, ids.state_id[q]): i
+              for i, (q, h, (sid, _)) in enumerate(product(states, heads, stacks))}
     interior_cols = set()
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[complex] = []
+    rows, cols, vals = [], [], []
     for key, c_idx in by_key.items():
         targets, overran = step_targets(run, key)
         inside = not overran
@@ -186,19 +184,25 @@ def enumerate_window(spec: QpaSpec, word, radius: int, cap: int = WINDOW_CAP) ->
         if inside:
             interior_cols.add(c_idx)
 
-    # Only an entry that pops a non-base symbol and pushes nothing has a
-    # source deeper than its target (by one symbol); every other entry's
-    # source is no deeper, so no other predecessor can leave the window.
-    deeper = {(k.q, k.sigma, k.d) for k in spec.delta if k.tau != STACK_BASE and not k.omega}
-    symbols = tape.symbols
-    interior_rows = frozenset(
-        i for i, c in enumerate(configs)
-        if c.head >= 1 and not (len(c.stack) == stack_limit and (
-            (c.state, symbols[c.head], Direction.STAY) in deeper
-            or (c.state, symbols[c.head - 1], Direction.ADVANCE) in deeper)))
+    # The entries whose source can lie outside the window (module docstring)
+    deeper, outside = set(), {}
+    for k in spec.delta:
+        if k.q1 not in spec.states or k.tau not in spec.alphabets.delta_alpha:
+            outside.setdefault((k.q, k.sigma, k.d), []).append((k.omega, k.tau == STACK_BASE))
+        elif k.tau != STACK_BASE and not k.omega:
+            deeper.add((k.q, k.sigma, k.d))
+    interior_rows = []
+    for b, (q, h) in enumerate(product(states, heads)):
+        cells = ((q, tape.symbols[h], Direction.STAY), (q, tape.symbols[h - 1], Direction.ADVANCE))
+        full = any(cell in deeper for cell in cells)
+        foreign = [e for cell in cells for e in outside.get(cell, ())]
+        interior_rows += [
+            b * len(stacks) + j for j, (_, s) in enumerate(stacks)
+            if h and not (full and len(s) == stack_limit) and not (foreign and any(
+                s[len(s) - len(w):] == w and based == (len(s) == len(w)) for w, based in foreign))]
 
     return ConfigWindow(tape=tape, configs=tuple(configs), index=index,
-                        interior_cols=frozenset(interior_cols), interior_rows=interior_rows,
+                        interior_cols=frozenset(interior_cols), interior_rows=frozenset(interior_rows),
                         stack_limit=stack_limit, spec=spec, entries=(rows, cols, vals))
 
 
@@ -315,23 +319,15 @@ def banded_associativity_probe(a: TruncatedMatrix, b: TruncatedMatrix,
     """Max entrywise deviation between (AB)C and A(BC)."""
     if not (a.dim == b.dim == c.dim):
         raise ValueError("dimension mismatch")
-    if a.dim < DENSE_LIMIT:
-        am, bm, cm = a.to_dense(), b.to_dense(), c.to_dense()
-        left = (am @ bm) @ cm
-        right = am @ (bm @ cm)
-        return float(np.abs(left - right).max())
     am, bm, cm = a.to_sparse(), b.to_sparse(), c.to_sparse()
     diff = ((am @ bm) @ cm - am @ (bm @ cm)).tocoo()
     return float(np.abs(diff.data).max()) if diff.nnz else 0.0
 
 
-def random_banded_matrix(n: int, bandwidth: int, seed: int,
-                         complex_entries: bool = True) -> TruncatedMatrix:
-    """Seeded random matrix supported on a band around the diagonal."""
+def random_banded_matrix(n: int, bandwidth: int, seed: int) -> TruncatedMatrix:
+    """Seeded random complex matrix supported on a band around the diagonal."""
     rng = np.random.default_rng(seed)
-    m = rng.standard_normal((n, n))
-    if complex_entries:
-        m = m + 1j * rng.standard_normal((n, n))
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     r, c = np.indices((n, n))
     m[np.abs(r - c) > bandwidth] = 0.0
     rows, cols = np.nonzero(m)

@@ -471,8 +471,17 @@ def check_all(spec: QpaSpec, tol: float = DEFAULT_TOL,
 
 
 def as_general(spec: QpaSpec) -> QpaSpec:
-    """View a simplified table as a plain one for the general suite."""
-    return replace(spec, kind=KIND_GENERAL)
+    """View a simplified table as a plain one for the general suite.
+
+    The view keeps the spec's compiled table, run rows and suite index,
+    none of which depends on the kind; summaries are memoized per view.
+    """
+    spec.compiled()
+    view = replace(spec, kind=KIND_GENERAL)
+    for attr in ("_compiled", "_int_table", "_wf_index"):
+        if attr in spec.__dict__:
+            object.__setattr__(view, attr, spec.__dict__[attr])
+    return view
 
 
 def summary_to_dict(summary: ConditionSummary) -> dict:

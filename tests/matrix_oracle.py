@@ -3,12 +3,15 @@
 This is window enumeration and matrix building as they were before the
 lab stepped the run's compiled rows: every configuration is stepped as
 a tuple with ``evolve_oracle.step_targets``, once for the interior
-columns and once more for the matrix, and interior rows come from
-inverting the transition relation.  ``tests/test_matrix_oracle.py``
+columns and once more for the matrix, stacks come from
+``itertools.product`` and configurations from a sort, and interior rows
+come from inverting the transition relation.  ``tests/test_matrix_oracle.py``
 requires the same windows, interior sets and triplet arrays, element for
 element, and the same error on tables that lose the stack base.
 """
 from __future__ import annotations
+
+from itertools import product
 
 from qpakit.evolve import Configuration, TapeContext
 from qpakit.matrixlab import (
@@ -17,7 +20,6 @@ from qpakit.matrixlab import (
     TruncatedMatrix,
     WindowCapError,
     _count_stacks,
-    _enumerate_stacks,
     _matrix_from_triplets,
 )
 from qpakit.model import Direction, STACK_BASE, QpaSpec
@@ -73,6 +75,14 @@ def enumerate_window(spec: QpaSpec, word, radius: int, cap: int = WINDOW_CAP) ->
     )
 
 
+def _enumerate_stacks(t_symbols: tuple[str, ...], stack_limit: int) -> list[tuple[str, ...]]:
+    out: list[tuple[str, ...]] = []
+    for depth in range(stack_limit):
+        for tail in product(t_symbols, repeat=depth):
+            out.append((STACK_BASE, *tail))
+    return out
+
+
 def _predecessor_index(spec: QpaSpec):
     """(target state, tape symbol, direction) -> [(source state, popped, push word, amp)]."""
     by_target = {}
@@ -120,7 +130,7 @@ def _preds_inside(spec, tape, config, by_target, stack_limit) -> bool:
             base = config.stack[:len(config.stack) - n]
             if (tau == STACK_BASE) != (len(base) == 0):
                 continue
-            if len(base) + 1 > stack_limit:
+            if len(base) + 1 > stack_limit or q1 not in spec.states or tau not in spec.alphabets.delta_alpha:
                 return False
     return True
 

@@ -474,3 +474,19 @@ class TestErrorBoundary:
                              capture_output=True, text=True, timeout=120)
         assert (out.returncode, out.stdout) == (3, "")
         assert out.stderr == "error: qpakit run: the following arguments are required: file, word\n"
+
+    def test_run_checks_the_threshold_before_it_recognizes(self, files, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("recognized before the threshold was checked")
+        monkeypatch.setattr("qpakit.cli._fold", unreachable)
+        assert main(["run", files["l2"], "ab" * 50000, "--threshold", "2"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: threshold must lie in (0.5, 1]") and err.count("\n") == 1, err
+
+    def test_long_bad_word_gives_a_bounded_message(self, files, tmp_path, capsys):
+        words = tmp_path / "long.words"
+        words.write_text("x" * 50000 + "\n", encoding="utf-8")
+        assert main(["batch", files["l2"], str(words)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert len(err.encode()) <= 200 and err.endswith(" at position 0\n"), err

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from qpakit import matrixlab, zoo
 from qpakit.dfa2rpa import compile_dfa
+from qpakit.evolve import Configuration
 from qpakit.model import Direction, STACK_BASE, enumerate_push_words
 
 from conftest import make_spec, random_total_dfa, words_up_to
@@ -143,6 +144,20 @@ def test_pop_from_outside_the_declared_states():
     ])
     for radius in range(3):
         assert assert_same(spec, "xx", radius) == "ok"
+
+
+def test_predecessor_from_an_undeclared_state_makes_a_row_boundary():
+    """Row (p, 1, Z0 1) has two unit predecessors in the true operator: its own
+    copy, and (u, 1, Z0 1), whose state is not declared and so lies outside."""
+    entries = [("p", s, tau, "p", Direction.STAY, (tau,), 1.0) for s in ("#", "x", "$") for tau in (Z, "1")]
+    spec = make_spec(sigma={"x"}, t={"1"}, states={"p"}, q0="p", q_acc=(), q_rej=(),
+                     entries=[*entries, ("u", "x", "1", "p", Direction.STAY, ("1",), 1.0)])
+    row = Configuration("p", 1, (Z, "1"))
+    for radius in range(3):
+        assert assert_same(spec, "x", radius) == "ok"
+        for lab in (matrixlab, oracle):
+            w = lab.enumerate_window(spec, "x", radius)
+            assert w.index[row] not in w.interior_rows, (lab.__name__, radius)
 
 
 @pytest.mark.parametrize("entries", [

@@ -267,6 +267,14 @@ class TestSuiteArgument:
         assert forced.suite == "general"
         assert forced == check_all(as_general(spec))
 
+    def test_general_view_keeps_the_compiled_table(self):
+        spec = zoo.l5_qpa().spec
+        view = as_general(spec)
+        assert view.compiled() is spec.compiled()
+        assert check_all(view) == check_all(spec, suite="general")
+        with pytest.raises(MissingDirectionError):
+            check_all(view, suite="simplified")
+
     def test_simplified_suite_needs_directions(self):
         with pytest.raises(MissingDirectionError):
             check_all(zoo.nonunitary_example(), suite="simplified")

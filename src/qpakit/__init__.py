@@ -15,10 +15,8 @@ from .model import (
     StructureViolation,
     SymbolError,
     TransitionKey,
-    enumerate_push_words,
     parse_amplitude,
     format_amplitude,
-    transitions_from,
     validate_structure,
 )
 from .io import (
@@ -38,7 +36,6 @@ from .wellformed import (
     check_local_probability,
     check_row_norm,
     check_separability,
-    check_simplified,
 )
 from .evolve import (
     Configuration,

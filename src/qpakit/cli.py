@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import math
 import os
@@ -212,9 +213,19 @@ def cmd_compile_dfa(args) -> int:
     return EXIT_OK
 
 
+def _check_output_path(path: str) -> None:
+    """Refuse, before any work, an output path that is a directory or whose directory is missing."""
+    if Path(path).is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not Path(path).parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def cmd_matrix(args) -> int:
     spec = load_qpa(args.file)
     tol = _tolerance(args.tolerance, matrixlab.DEFAULT_MATRIX_TOL)
+    if args.dump and args.dump != "-":
+        _check_output_path(args.dump)
     window = matrixlab.enumerate_window(spec, args.word, args.radius)
     matrix = matrixlab.build_matrix(spec, window)
     doc = {"dim": matrix.dim, "word": args.word, "radius": args.radius}

@@ -15,10 +15,11 @@ Runs work on integers.  The spec is compiled once into integer rows,
 each run interns its stacks in a trie (hash-consing: a pop is the
 parent node, a push a child lookup) and a configuration is one int
 packing (stack id, head, state), so a step costs the same at any stack
-depth.  ``Configuration`` and ``Superposition.amplitudes`` are the
-public view, built only when asked for; the matrix lab interns its
-window's stacks in a run's trie and steps them on the same compiled
-rows through ``step_targets``.
+depth.  A ``Superposition`` is always a run's packed map, and
+``Superposition.over`` packs configurations into one.  ``Configuration``
+and ``Superposition.amplitudes`` are the public view, built only when
+asked for; the matrix lab interns its window's stacks in a run's trie
+and steps them on the same compiled rows through ``step_targets``.
 """
 from __future__ import annotations
 
@@ -120,11 +121,6 @@ class _Table:
         return ((d == ADVANCE_ID) << self.qbits) | q, not keeps, omega[keeps:], amp, based
 
 
-def _outcome(state: str, q_accept, q_reject) -> int:
-    """1 accepting, 2 rejecting, 0 non-halting; accepting wins an overlap."""
-    return 1 if state in q_accept else 2 if state in q_reject else 0
-
-
 def _table(spec: QpaSpec) -> _Table:
     return cached_on(spec, "_int_table", _Table)
 
@@ -163,10 +159,12 @@ class _Run:
         self.set_halting(spec.q_accept, spec.q_reject)
 
     def set_halting(self, q_accept, q_reject) -> None:
-        """Classify state ids for ``measure``: ``by_state[id]`` is an ``_outcome``."""
+        """Classify state ids for ``measure``: 1 accepting, 2 rejecting, 0 non-halting."""
         self.q_accept = q_accept
         self.q_reject = q_reject
-        self.by_state = [_outcome(q, q_accept, q_reject) for q in self.table.ids.states]
+        # accepting wins an overlap
+        self.by_state = [1 if q in q_accept else 2 if q in q_reject else 0
+                         for q in self.table.ids.states]
 
     def push(self, sid: int, sym: int) -> int:
         k = (sid << self.table.sym_bits) | sym
@@ -221,20 +219,26 @@ class _Run:
 
 
 class Superposition:
-    """Sparse complex amplitude map over configurations.
+    """Sparse complex amplitude map over the configurations of one run.
 
-    Built from a ``{Configuration: amplitude}`` dict by callers, or by a
-    run over packed integer keys.  ``amplitudes`` is the caller's dict in
-    the first case; in the second it is a read-only configuration view,
-    built once on first use.
+    Keys are the run's packed integers; ``over`` packs a
+    ``{Configuration: amplitude}`` dict.  ``amplitudes`` is a read-only
+    configuration view, built once on first use.
     """
 
     __slots__ = ("_run", "_packed", "_view")
 
-    def __init__(self, amplitudes: dict[Configuration, complex]):
-        self._run = None
-        self._packed = None
-        self._view = amplitudes
+    def __init__(self, run: _Run, packed: dict[int, complex]):
+        self._run = run
+        self._packed = packed
+        self._view = None
+
+    @classmethod
+    def over(cls, spec: QpaSpec, tape: TapeContext,
+             amplitudes: Mapping[Configuration, complex]) -> "Superposition":
+        """Pack configurations of ``spec`` on ``tape``; a foreign one is a ``QpaError``."""
+        run = _Run(spec, tape)
+        return cls(run, {run.key(c): a for c, a in amplitudes.items()})
 
     @property
     def amplitudes(self) -> Mapping[Configuration, complex]:
@@ -243,11 +247,8 @@ class Superposition:
                 {self._run.config(k): a for k, a in self._packed.items()})
         return self._view
 
-    def _map(self) -> dict:
-        return self._view if self._run is None else self._packed
-
     def norm_squared(self) -> float:
-        return sum((abs(a) ** 2 for a in self._map().values()), 0.0)
+        return sum((abs(a) ** 2 for a in self._packed.values()), 0.0)
 
     def sorted_items(self) -> list[tuple[Configuration, complex]]:
         return sorted(self.amplitudes.items(), key=lambda kv: kv[0])
@@ -256,7 +257,7 @@ class Superposition:
         return self.amplitudes.get(config, 0.0 + 0.0j)
 
     def __len__(self) -> int:
-        return len(self._map())
+        return len(self._packed)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Superposition):
@@ -265,14 +266,6 @@ class Superposition:
 
     def __repr__(self) -> str:
         return f"Superposition(amplitudes={dict(self.amplitudes)!r})"
-
-
-def _packed(run: _Run, packed: dict[int, complex]) -> Superposition:
-    psi = object.__new__(Superposition)
-    psi._run = run
-    psi._packed = packed
-    psi._view = None
-    return psi
 
 
 @dataclass(frozen=True)
@@ -305,7 +298,7 @@ class TraceStep:
 
 def _initial(run: _Run) -> Superposition:
     key = run.key(Configuration(run.spec.q0, 0, (STACK_BASE,)))
-    return _packed(run, {key: 1.0 + 0.0j})
+    return Superposition(run, {key: 1.0 + 0.0j})
 
 
 def initial_superposition(spec: QpaSpec, word) -> Superposition:
@@ -319,19 +312,17 @@ def apply_evolution(spec: QpaSpec, tape: TapeContext, psi: Superposition,
 
     Amplitudes arriving at the same configuration are summed, which is
     where interference happens; entries below ``prune_eps`` are dropped.
-    A configuration-keyed ``psi`` is first packed into a run of ``spec``
-    on ``tape``; it must use the spec's states and stack symbols.
+    A ``psi`` of another spec or tape is first packed into a run of
+    ``spec`` on ``tape``; it must use the spec's states and stack symbols.
     """
     run = psi._run
-    if run is None or run.spec is not spec or (run.tape is not tape and run.tape != tape):
-        run = _Run(spec, tape)
-        packed = {run.key(c): a for c, a in psi.amplitudes.items()}
-    else:
-        packed = psi._packed
+    if run.spec is not spec or (run.tape is not tape and run.tape != tape):
+        psi = Superposition.over(spec, tape, psi.amplitudes)
+        run = psi._run
     rows, top, parent, child, hshift, hq_max, sym_bits, hq_mask, head_mask = run.step_ctx
     out: dict[int, complex] = {}
     get = out.get
-    for key, alpha in packed.items():
+    for key, alpha in psi._packed.items():
         sid = key >> hshift
         by_top = rows[key & hq_mask]
         if by_top is None:
@@ -352,7 +343,7 @@ def apply_evolution(spec: QpaSpec, tape: TapeContext, psi: Superposition,
             out[target] = get(target, 0.0 + 0.0j) + alpha * amp
     if prune_eps > 0.0:
         out = {c: a for c, a in out.items() if abs(a) >= prune_eps}
-    return _packed(run, out)
+    return Superposition(run, out)
 
 
 def step_targets(run: _Run, key: int) -> tuple[list[tuple[int, complex]], bool]:
@@ -392,22 +383,14 @@ def measure(psi: Superposition, q_accept: frozenset[str], q_reject: frozenset[st
     the unrenormalized residual supported on non-halting states.
     """
     run = psi._run
-    if run is None:
-        # no run to classify states by id: number the configurations instead
-        configs = list(psi.amplitudes)
-        amps = dict(enumerate(psi.amplitudes.values()))
-        by_state = [_outcome(c.state, q_accept, q_reject) for c in configs]
-        mask = -1
-    else:
-        if q_accept is not run.q_accept or q_reject is not run.q_reject:
-            run.set_halting(q_accept, q_reject)
-        amps = psi._packed
-        by_state = run.by_state
-        mask = (1 << run.qbits) - 1
+    if q_accept is not run.q_accept or q_reject is not run.q_reject:
+        run.set_halting(q_accept, q_reject)
+    by_state = run.by_state
+    mask = (1 << run.qbits) - 1
     p_acc = 0.0
     p_rej = 0.0
     residual = {}
-    for key, alpha in amps.items():
+    for key, alpha in psi._packed.items():
         outcome = by_state[key & mask]
         if outcome == 1:
             p_acc += abs(alpha) ** 2
@@ -415,9 +398,7 @@ def measure(psi: Superposition, q_accept: frozenset[str], q_reject: frozenset[st
             p_rej += abs(alpha) ** 2
         else:
             residual[key] = alpha
-    if run is None:
-        return p_acc, p_rej, Superposition({configs[i]: a for i, a in residual.items()})
-    return p_acc, p_rej, _packed(run, residual)
+    return p_acc, p_rej, Superposition(run, residual)
 
 
 def default_max_steps(word_length: int) -> int:

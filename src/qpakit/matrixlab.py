@@ -89,11 +89,6 @@ class TruncatedMatrix:
         np.add.at(m, (self.rows, self.cols), self.vals)
         return m
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        y = np.zeros(self.dim, dtype=complex)
-        np.add.at(y, self.rows, self.vals * x[self.cols])
-        return y
-
     def triplets(self) -> list[tuple[int, int, float, float]]:
         order = np.lexsort((self.rows, self.cols))
         return [
@@ -221,18 +216,16 @@ def build_matrix(spec: QpaSpec, window: ConfigWindow) -> TruncatedMatrix:
 # --- unitarity checks ---------------------------------------------------------
 
 
-def _col_gram_deviation(matrix: TruncatedMatrix, dense: bool | None = None) -> float:
+def _col_gram_deviation(matrix: TruncatedMatrix) -> float:
     """max |G - I| over the Gram matrix G of the interior columns, NaN if any entry is.
 
-    Dense below ``GRAM_DENSE_LIMIT``, sparse from there on, unless
-    ``dense`` says otherwise; both give the same number.
+    Dense below ``GRAM_DENSE_LIMIT``, sparse from there on; both give the
+    same number.
     """
     interior = sorted(matrix.interior_cols)
     if not interior:
         return 0.0
-    if dense is None:
-        dense = matrix.dim < GRAM_DENSE_LIMIT
-    if dense:
+    if matrix.dim < GRAM_DENSE_LIMIT:
         sub, eye = matrix.to_dense()[:, interior], np.eye(len(interior))
     else:
         sub, eye = matrix.to_sparse()[:, interior], sp.identity(len(interior))
@@ -379,17 +372,7 @@ def random_partial_permutation(n: int, m: int, max_shift: int, seed: int) -> Tru
         n, targets, list(range(m)), signs, range(m), range(n))
 
 
-# --- vectors over windows -------------------------------------------------------
-
-
-def superposition_to_vector(window: ConfigWindow, psi) -> np.ndarray:
-    vec = np.zeros(len(window.configs), dtype=complex)
-    for config, amp in psi.amplitudes.items():
-        idx = window.index.get(config)
-        if idx is None:
-            raise QpaError(f"configuration {config} lies outside the window")
-        vec[idx] = amp
-    return vec
+# --- output --------------------------------------------------------------------
 
 
 def matrix_to_dict(matrix: TruncatedMatrix) -> dict:

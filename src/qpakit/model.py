@@ -13,8 +13,9 @@ be declared by users.
 
 Every layer reads a spec through one ``CompiledTable``, built on first use
 and cached on the spec: names numbered in sorted order (``advance`` before
-``stay``), entries sorted once.  ``sorted_keys``, ``by_source`` and
-``validate_structure`` read it, as do the condition suite and the run loop.
+``stay``), entries sorted once, and grouped by source on first use.
+``sorted_keys`` and ``validate_structure`` read it, as do the condition
+suite and the run loop.
 """
 from __future__ import annotations
 
@@ -167,13 +168,6 @@ class QpaSpec:
     def sorted_keys(self) -> list[TransitionKey]:
         return [e[-1] for e in self.compiled().entries]
 
-    def by_source(self) -> dict[tuple[str, str, str], list[tuple[str, Direction, tuple[str, ...], complex]]]:
-        """Index the table by (state, tape symbol, popped symbol), cached."""
-        t = self.compiled()
-        return cached_on(self, "_by_source", lambda _: {
-            (t.states[q1], t.tapes[sigma], t.syms[tau]): [(k.q, k.d, k.omega, amp) for *_, amp, k in group]
-            for (q1, sigma, tau), group in t.sources.items()})
-
 
 def cached_on(spec: QpaSpec, attr: str, build):
     """``build(spec)``, computed on first use and kept on the (frozen) spec as ``attr``."""
@@ -298,37 +292,6 @@ def format_amplitude(value: complex) -> str:
     if value.imag == 0.0:
         return repr(value.real)
     return f"({value.real!r},{value.imag!r})"
-
-
-# --- push word enumeration and accessors -----------------------------------
-
-def enumerate_push_words(tau: str, alphabets: Alphabets) -> list[tuple[str, ...]]:
-    """All push words a transition may legally write after popping ``tau``.
-
-    Popping the stack base must re-push it (optionally with one stack
-    symbol on top); popping an ordinary symbol allows the empty word, any
-    single symbol, or re-pushing ``tau`` under one more symbol.  The list
-    is sorted: empty word, single symbols, then two-symbol words.
-    """
-    if tau not in alphabets.delta_alpha:
-        raise SymbolError(f"{tau!r} is not a stack symbol")
-    ts = alphabets.t_sorted()
-    if tau == STACK_BASE:
-        return [(STACK_BASE,)] + [(STACK_BASE, t) for t in ts]
-    return [()] + [(t,) for t in ts] + [(tau, t) for t in ts]
-
-
-def transitions_from(
-    spec: QpaSpec, q1: str, sigma: str, tau: str
-) -> list[tuple[str, Direction, tuple[str, ...], complex]]:
-    """Stored entries for one (state, tape symbol, popped symbol) triple."""
-    if q1 not in spec.states:
-        raise SymbolError(f"{q1!r} is not a declared state")
-    if sigma not in spec.alphabets.gamma:
-        raise SymbolError(f"{sigma!r} is not a tape symbol")
-    if tau not in spec.alphabets.delta_alpha:
-        raise SymbolError(f"{tau!r} is not a stack symbol")
-    return list(spec.by_source().get((q1, sigma, tau), []))
 
 
 # --- structural validation --------------------------------------------------

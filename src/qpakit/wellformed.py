@@ -421,13 +421,6 @@ def _require_direction(spec: QpaSpec) -> None:
         raise MissingDirectionError(f"direction undefined for {sorted(missing)}")
 
 
-def check_simplified(spec: QpaSpec, tol: float = DEFAULT_TOL,
-                     max_reports: int = DEFAULT_MAX_REPORTS) -> list[ConditionReport]:
-    """The five-condition suite for direction-per-state tables, as one report list."""
-    summary = check_all(spec, tol, max_reports, suite="simplified")
-    return [rep for r in summary.results for rep in r.reports]
-
-
 def _collectors(spec: QpaSpec, tol: float, max_reports: int, suite: str) -> list[_Collector]:
     if suite == "simplified":
         _require_direction(spec)

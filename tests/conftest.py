@@ -1,4 +1,4 @@
-"""Shared fixtures: broken tables, word generators, tiny DFAs."""
+"""Shared fixtures: broken tables, word generators, tiny DFAs, table readers."""
 from __future__ import annotations
 
 import itertools
@@ -12,7 +12,9 @@ from qpakit.model import (
     Direction,
     KIND_GENERAL,
     KIND_SIMPLIFIED,
+    STACK_BASE,
     QpaSpec,
+    SymbolError,
     TransitionKey,
 )
 
@@ -41,6 +43,23 @@ def make_spec(sigma, t, states, q0, q_acc, q_rej, entries, kind=KIND_GENERAL, di
         kind=kind,
         direction_fn=directions,
     )
+
+
+def enumerate_push_words(tau: str, alphabets: Alphabets) -> list[tuple[str, ...]]:
+    """The legal push words after popping ``tau``, sorted: empty, single symbols, then pairs."""
+    if tau not in alphabets.delta_alpha:
+        raise SymbolError(f"{tau!r} is not a stack symbol")
+    ts = alphabets.t_sorted()
+    if tau == STACK_BASE:
+        return [(STACK_BASE,)] + [(STACK_BASE, t) for t in ts]
+    return [()] + [(t,) for t in ts] + [(tau, t) for t in ts]
+
+
+def sources_by_name(spec: QpaSpec) -> dict[tuple[str, str, str], list[tuple[str, Direction, tuple[str, ...], complex]]]:
+    """The compiled table's ``sources`` with names for ids: ``{(q1, sigma, tau): [(q, d, omega, amp)]}``."""
+    t = spec.compiled()
+    return {(t.states[q1], t.tapes[sigma], t.syms[tau]): [(k.q, k.d, k.omega, amp) for *_, amp, k in group]
+            for (q1, sigma, tau), group in t.sources.items()}
 
 
 @pytest.fixture(scope="session")

@@ -22,8 +22,10 @@ from qpakit.evolve import (
     TraceStep,
     default_max_steps,
 )
-from qpakit.model import Direction, STACK_BASE, QpaError, QpaSpec
+from qpakit.model import Direction, STACK_BASE, QpaError, QpaSpec, cached_on
 from qpakit.wellformed import check_all
+
+from io_oracle import by_source
 
 
 @dataclass
@@ -60,7 +62,7 @@ def step_targets(spec: QpaSpec, tape: TapeContext, config: Configuration
     """
     sigma = tape.symbols[config.head]
     tau = config.stack[-1]
-    entries = spec.by_source().get((config.state, sigma, tau))
+    entries = cached_on(spec, "_oracle_by_source", by_source).get((config.state, sigma, tau))
     if not entries:
         return [], False
     last = len(tape) - 1

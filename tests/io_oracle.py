@@ -252,10 +252,6 @@ def qpa_dumps(spec: QpaSpec) -> str:
     return json.dumps(qpa_to_dict(spec), indent=2) + "\n"
 
 
-def qpa_dumps(spec: QpaSpec) -> str:
-    return json.dumps(qpa_to_dict(spec), indent=2) + "\n"
-
-
 def by_source(spec: QpaSpec) -> dict[tuple[str, str, str], list[tuple[str, Direction, tuple[str, ...], complex]]]:
     """Index the table by (state, tape symbol, popped symbol)."""
     cache = {}

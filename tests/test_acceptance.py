@@ -25,7 +25,7 @@ from qpakit.matrixlab import (
     rows_pairwise_orthogonal_deviation,
     shift_fixture,
 )
-from qpakit.wellformed import check_all, check_simplified
+from qpakit.wellformed import check_all
 
 from conftest import random_total_dfa, words_up_to
 
@@ -211,7 +211,7 @@ def test_criterion_6_compiler_equivalence():
     for _ in range(n_dfas):
         dfa = random_total_dfa(int(rng.integers(1, 7)), "01", rng)
         rpa = compile_dfa(dfa)
-        assert check_simplified(rpa) == []
+        assert check_all(rpa, suite="simplified").passed
         for word in words_up_to("01", 8):
             r = recognize(rpa, word)
             want = simulate_dfa(dfa, word)

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, output formats, determinism."""
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,8 @@ from qpakit import zoo
 from qpakit.cli import CHECK_SCHEMA, RUN_SCHEMA, MATRIX_SCHEMA, main
 from qpakit.io import load_qpa, qpa_dumps, save_dfa, save_qpa
 from qpakit.model import DfaSpec
+
+from conftest import ADV, make_spec, words_up_to
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +128,6 @@ class TestBatch:
         assert float(rows[2][1]) == pytest.approx(3 / 7)
 
     def test_exhaustive_words_all_halt(self, files, tmp_path, capsys):
-        from conftest import words_up_to
         words = tmp_path / "all6.txt"
         words.write_text("".join(w + "\n" for w in words_up_to("ab", 6)), encoding="utf-8")
         out_csv = tmp_path / "all6.csv"
@@ -183,6 +185,17 @@ class TestMatrix:
         doc = json.loads(out.read_text(encoding="utf-8"))
         assert doc["dim"] > 0 and doc["triplets"]
 
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_bad_dump_path_fails_before_the_window(self, where, files, tmp_path, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("enumerated the window before the dump path was checked")
+        monkeypatch.setattr("qpakit.matrixlab.enumerate_window", unreachable)
+        dump = tmp_path / "no" / "m.json" if where == "missing directory" else tmp_path
+        assert main(["matrix", files["l5"], "--word", "abcab", "--radius", "9", "--dump", str(dump)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(dump) in err, err
+        assert list(tmp_path.iterdir()) == []
+
     def test_dump_text_grid(self, files, capsys):
         assert main(["matrix", files["nonunitary"], "--word", "1", "--radius", "1",
                      "--dump", "-"]) == 0
@@ -228,8 +241,6 @@ class TestZooCommands:
 class TestEnvironmentOverrides:
     def test_env_tolerance_loosens(self, files, tmp_path, capsys, monkeypatch):
         # a slightly lossy table passes under a loose env tolerance
-        import math
-        from conftest import make_spec, ADV
         amp = math.sqrt(1.0 - 1e-6)
         spec = make_spec(
             sigma={"a"}, t={"1"}, states={"q"}, q0="q", q_acc=(), q_rej=(),

@@ -5,7 +5,7 @@ import pytest
 from qpakit.dfa2rpa import compile_dfa, simulate_dfa
 from qpakit.evolve import recognize
 from qpakit.model import DfaSpec, QpaError, StructureError
-from qpakit.wellformed import check_all, check_simplified
+from qpakit.wellformed import check_all
 from qpakit.model import validate_structure
 
 from conftest import random_total_dfa, words_up_to
@@ -30,7 +30,7 @@ class TestCompileStructure:
         assert rpa.q_reject == {"q0'"}
         assert rpa.alphabets.t == {"0", "1"}
         assert validate_structure(rpa) == []
-        assert check_simplified(rpa) == []
+        assert check_all(rpa, suite="simplified").passed
 
     def test_directions_split_by_priming(self, ends_in_one_dfa):
         rpa = compile_dfa(ends_in_one_dfa)

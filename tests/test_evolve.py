@@ -9,9 +9,11 @@ from qpakit import zoo
 from qpakit.evolve import (
     Configuration,
     NotWellFormedError,
+    RecognitionResult,
     Superposition,
     TapeContext,
     TapeOverrunError,
+    _fold,
     apply_evolution,
     decide,
     initial_superposition,
@@ -19,7 +21,11 @@ from qpakit.evolve import (
     recognize,
     trace,
 )
-from qpakit.model import QpaError, STACK_BASE
+from qpakit.model import Direction, QpaError, STACK_BASE
+from qpakit.wellformed import as_general
+
+from conftest import make_spec
+import evolve_oracle as oracle
 
 
 Z = STACK_BASE
@@ -27,6 +33,10 @@ Z = STACK_BASE
 
 def _tape(spec, word):
     return TapeContext.from_word(spec, word)
+
+
+def _over(spec, word, amplitudes):
+    return Superposition.over(spec, _tape(spec, word), amplitudes)
 
 
 class TestInitialSuperposition:
@@ -50,14 +60,14 @@ class TestApplyEvolution:
     def test_l2_single_push_step(self):
         spec = zoo.l2_rpa().spec
         tape = _tape(spec, "ab")
-        psi = Superposition({Configuration("q0", 1, (Z,)): 1.0 + 0.0j})
+        psi = Superposition.over(spec, tape, {Configuration("q0", 1, (Z,)): 1.0 + 0.0j})
         out = apply_evolution(spec, tape, psi)
         # the first a opens the x-surplus counter in the up state q1
         assert out.amplitudes == {Configuration("q1", 2, (Z, "1")): 1.0 + 0.0j}
 
     def test_empty_superposition(self):
         spec = zoo.l2_rpa().spec
-        out = apply_evolution(spec, _tape(spec, "ab"), Superposition({}))
+        out = apply_evolution(spec, _tape(spec, "ab"), _over(spec, "ab", {}))
         assert out.amplitudes == {}
 
     def test_l5_marker_split_three_branches(self):
@@ -96,7 +106,7 @@ class TestApplyEvolution:
             picks = rng.choice(len(configs), size=6, replace=False)
             vec = rng.standard_normal(6) + 1j * rng.standard_normal(6)
             vec /= np.linalg.norm(vec)
-            psi = Superposition({configs[i]: complex(vec[k]) for k, i in enumerate(picks)})
+            psi = Superposition.over(spec, tape, {configs[i]: complex(vec[k]) for k, i in enumerate(picks)})
             out = apply_evolution(spec, tape, psi)
             assert out.norm_squared() == pytest.approx(1.0, abs=1e-9)
 
@@ -106,9 +116,9 @@ class TestApplyEvolution:
         c1 = Configuration("q0", 1, (Z,))
         c2 = Configuration("q3", 2, (Z, "1"))
         a, b = complex(0.6, 0.1), complex(-0.3, 0.7)
-        combined = apply_evolution(spec, tape, Superposition({c1: a, c2: b}))
-        out1 = apply_evolution(spec, tape, Superposition({c1: 1.0}))
-        out2 = apply_evolution(spec, tape, Superposition({c2: 1.0}))
+        combined = apply_evolution(spec, tape, Superposition.over(spec, tape, {c1: a, c2: b}))
+        out1 = apply_evolution(spec, tape, Superposition.over(spec, tape, {c1: 1.0}))
+        out2 = apply_evolution(spec, tape, Superposition.over(spec, tape, {c2: 1.0}))
         expect = {}
         for c, v in out1.amplitudes.items():
             expect[c] = expect.get(c, 0j) + a * v
@@ -119,15 +129,21 @@ class TestApplyEvolution:
             assert combined.amplitudes[c] == pytest.approx(expect[c], abs=1e-12)
 
 
+def _states_spec(*states):
+    """A table with no entries over ``states``: enough to hold configurations to measure."""
+    return make_spec(sigma={"a"}, t=(), states=set(states), q0=states[0], q_acc=(), q_rej=(),
+                     entries=[])
+
+
 class TestMeasure:
     def test_pure_accept(self):
-        psi = Superposition({Configuration("q5", 1, (Z,)): 1.0 + 0.0j})
+        psi = _over(_states_spec("q5"), "", {Configuration("q5", 1, (Z,)): 1.0 + 0.0j})
         acc, rej, res = measure(psi, frozenset({"q5"}), frozenset({"q4"}))
         assert (acc, rej) == (1.0, 0.0)
         assert len(res) == 0
 
     def test_no_halting_states_is_identity(self):
-        psi = Superposition({
+        psi = _over(_states_spec("a", "b"), "", {
             Configuration("a", 0, (Z,)): 0.6 + 0.0j,
             Configuration("b", 1, (Z,)): 0.8 + 0.0j,
         })
@@ -136,7 +152,7 @@ class TestMeasure:
         assert res.amplitudes == psi.amplitudes
 
     def test_split_outcome(self):
-        psi = Superposition({
+        psi = _over(_states_spec("acc", "rej", "mid"), "", {
             Configuration("acc", 0, (Z,)): complex(math.sqrt(1 / 3), 0),
             Configuration("rej", 0, (Z,)): complex(-math.sqrt(1 / 3), 0),
             Configuration("mid", 0, (Z,)): complex(0, math.sqrt(1 / 3)),
@@ -220,7 +236,6 @@ class TestDecide:
         assert decide(r, 0.6) == "accepted"
 
     def test_inconclusive_tuple(self):
-        from qpakit.evolve import RecognitionResult
         r = RecognitionResult(p_accept=3 / 7, p_reject=0.0, p_nonhalt=4 / 7,
                               steps=5, halted=False)
         assert decide(r, 0.55) == "inconclusive"
@@ -267,13 +282,11 @@ class TestTrace:
 class TestRunLoop:
     def test_negative_max_steps_is_a_value_error(self):
         spec = zoo.l2_rpa().spec
-        from qpakit.evolve import _fold
         for fn in (recognize, trace, _fold):
             with pytest.raises(ValueError, match="max_steps"):
                 fn(spec, "ab", max_steps=-1)
 
     def test_traced_result_equals_recognize(self):
-        from qpakit.evolve import _fold
         spec = zoo.l5_qpa().spec
         for word, max_steps in (("abc", None), ("aabbcc", 3), ("", 0), ("ab", 1)):
             steps = []
@@ -292,7 +305,7 @@ class TestRunLoop:
         (config,) = psi.amplitudes
         assert config == Configuration("q1", 3, (Z, "1", "2"))
         assert psi.amplitude(config) == 1.0
-        assert psi == Superposition({config: 1.0 + 0.0j})
+        assert psi == _over(spec, "aab", {config: 1.0 + 0.0j})
 
     def test_view_of_a_run_is_read_only(self):
         spec = zoo.l2_rpa().spec
@@ -324,9 +337,9 @@ class TestRunLoop:
         spec = zoo.l5_qpa().spec
         psi = apply_evolution(spec, _tape(spec, "abc"), initial_superposition(spec, "abc"))
         acc, rej, res = measure(psi, frozenset({"A0"}), frozenset({"C0", "uacc"}))
-        view = measure(Superposition(dict(psi.amplitudes)), frozenset({"A0"}),
-                       frozenset({"C0", "uacc"}))
-        assert (acc, rej, res.amplitudes) == (view[0], view[1], view[2].amplitudes)
+        want = oracle.measure(oracle.Superposition(dict(psi.amplitudes)), frozenset({"A0"}),
+                              frozenset({"C0", "uacc"}))
+        assert (acc, rej, res.amplitudes) == (want[0], want[1], want[2].amplitudes)
         assert acc == pytest.approx(2 / 7) and rej == pytest.approx(5 / 7)
         assert measure(psi, spec.q_accept, spec.q_reject)[0] == pytest.approx(3 / 7)
 
@@ -338,12 +351,48 @@ class TestRunLoop:
                     Configuration("q0", 1, ("1",)), Configuration("q0", 1, (Z, Z)),
                     Configuration("q0", 1, ("1", Z))):
             with pytest.raises(QpaError):
-                apply_evolution(spec, tape, Superposition({bad: 1.0}))
+                Superposition.over(spec, tape, {bad: 1.0})
+
+
+def _hex_items(psi):
+    return [(c, a.real.hex(), a.imag.hex()) for c, a in psi.sorted_items()]
+
+
+class TestOtherRuns:
+    """A superposition of another run steps and measures as on the native run, bit for bit.
+
+    Under an equal tape it keeps its own run; the general view is another
+    spec object, so ``apply_evolution`` packs it again (``Superposition.over``).
+    """
+
+    @pytest.mark.parametrize("other", ["equal tape", "general view"])
+    def test_same_amplitudes_as_the_native_path(self, other):
+        spec = zoo.l5_qpa().spec
+        tape, twin = _tape(spec, "aabbcc"), _tape(spec, "aabbcc")
+        assert twin == tape and twin is not tape
+        psi = initial_superposition(spec, "aabbcc")
+        for _ in range(6):
+            if other == "equal tape":
+                foreign = Superposition.over(spec, twin, psi.amplitudes)
+                got = apply_evolution(spec, tape, foreign)
+                assert got._run is foreign._run
+            else:
+                got = apply_evolution(as_general(spec), tape, psi)
+                assert got._run.spec is not spec
+            want = apply_evolution(spec, tape, psi)
+            m_got, m_want = (measure(x, spec.q_accept, spec.q_reject) for x in (got, want))
+            assert _hex_items(got) == _hex_items(want) and _hex_items(m_got[2]) == _hex_items(m_want[2])
+            assert (m_got[0].hex(), m_got[1].hex()) == (m_want[0].hex(), m_want[1].hex())
+            psi = m_want[2]
+
+    def test_configurations_of_another_spec_are_refused(self):
+        l5, l2 = zoo.l5_qpa().spec, zoo.l2_rpa().spec
+        psi = apply_evolution(l5, _tape(l5, "ab"), initial_superposition(l5, "ab"))
+        with pytest.raises(QpaError, match="not a configuration of this automaton"):
+            apply_evolution(l2, _tape(l2, "ab"), psi)
 
 
 def _base_losing_spec():
-    from conftest import make_spec
-    from qpakit.model import Direction
     # popping the base without re-pushing it: structurally invalid, run with force
     return make_spec(sigma={"x"}, t={"1"}, states={"q"}, q0="q", q_acc=(), q_rej=(),
                      entries=[("q", "#", Z, "q", Direction.STAY, (), 1.0)])
@@ -359,15 +408,13 @@ class TestStackBaseCheck:
     def test_lost_base_wins_over_an_overrun(self):
         # the same configuration both overruns and loses its base: the
         # base is reported, as the tuple loop's assertion did
-        from conftest import make_spec
-        from qpakit.model import Direction
         spec = make_spec(sigma={"x"}, t={"1"}, states={"q"}, q0="q", q_acc=(), q_rej=(), entries=[
             ("q", "#", Z, "q", Direction.STAY, (Z,), 1.0),
             ("q", "$", Z, "q", Direction.ADVANCE, (Z,), 0.6),
             ("q", "$", Z, "q", Direction.STAY, (), 0.8),
         ])
         tape = _tape(spec, "")
-        psi = Superposition({Configuration("q", 1, (Z,)): 1.0})
+        psi = Superposition.over(spec, tape, {Configuration("q", 1, (Z,)): 1.0})
         with pytest.raises(QpaError, match="without its Z0 base"):
             apply_evolution(spec, tape, psi)
 

@@ -7,7 +7,6 @@ raise must raise the same exception type with the same message.
 """
 import cmath
 import dataclasses
-import itertools
 
 import numpy as np
 import pytest
@@ -17,16 +16,15 @@ from hypothesis import strategies as st
 from qpakit import evolve, zoo
 from qpakit.dfa2rpa import compile_dfa
 from qpakit.evolve import Configuration, Superposition
-from qpakit.model import Alphabets, Direction, enumerate_push_words
+from qpakit.model import Alphabets, Direction
 
-from conftest import make_spec, random_total_dfa
+from conftest import enumerate_push_words, make_spec, random_total_dfa, words_up_to
 import evolve_oracle as oracle
 
 ZOO = zoo.fixture_specs()
 
 
-def _hex(x: float) -> str:
-    return x.hex()
+_hex = float.hex
 
 
 def result_key(r):
@@ -52,26 +50,19 @@ def outcome(fn, *args, **kwargs):
 
 
 def assert_same_run(spec, word, **kw):
-    got = outcome(evolve.recognize, spec, word, **kw)
-    want = outcome(oracle.recognize, spec, word, **kw)
-    assert got[0] == want[0], (word, got, want)
-    if got[0] == "raised":
-        assert got[1] == want[1]
-    else:
-        assert result_key(got[1]) == result_key(want[1]), word
-    got = outcome(evolve.trace, spec, word, **kw)
-    want = outcome(oracle.trace, spec, word, **kw)
-    assert got[0] == want[0], (word, got, want)
-    if got[0] == "raised":
-        assert got[1] == want[1]
-    else:
-        assert trace_key(got[1]) == trace_key(want[1]), word
+    for ours, theirs, key in ((evolve.recognize, oracle.recognize, result_key),
+                              (evolve.trace, oracle.trace, trace_key)):
+        got = outcome(ours, spec, word, **kw)
+        want = outcome(theirs, spec, word, **kw)
+        assert got[0] == want[0], (word, got, want)
+        if got[0] == "raised":
+            assert got[1] == want[1]
+        else:
+            assert key(got[1]) == key(want[1]), word
 
 
 def words(alphabet, max_len):
-    for n in range(max_len + 1):
-        for tup in itertools.product(sorted(alphabet), repeat=n):
-            yield "".join(tup)
+    return words_up_to(sorted(alphabet), max_len)
 
 
 @pytest.mark.parametrize("name", ["l1", "l2", "l3", "l5"])
@@ -193,7 +184,7 @@ def test_apply_evolution_on_configuration_keyed_superposition(prune_eps):
     for _ in range(30):
         picks = rng.choice(len(configs), size=7, replace=False)
         amps = {configs[i]: complex(*rng.standard_normal(2)) for i in picks}
-        got = outcome(evolve.apply_evolution, spec, tape, Superposition(dict(amps)), prune_eps)
+        got = outcome(evolve.apply_evolution, spec, tape, Superposition.over(spec, tape, amps), prune_eps)
         want = outcome(oracle.apply_evolution, spec, tape, oracle.Superposition(dict(amps)), prune_eps)
         assert got[0] == want[0]
         if got[0] == "raised":

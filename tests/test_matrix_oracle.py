@@ -2,7 +2,7 @@
 
 Every ``ConfigWindow`` field must match, the index in its order, and the
 matrix's ``rows``/``cols``/``vals`` arrays element for element and bit
-for bit, since ``matvec`` sums them in array order.  Windows that raise
+for bit, since a product with the matrix sums them in array order.  Windows that raise
 must raise the same exception type with the same message.
 """
 import cmath
@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 from qpakit import matrixlab, zoo
 from qpakit.dfa2rpa import compile_dfa
 from qpakit.evolve import Configuration
-from qpakit.model import Direction, STACK_BASE, enumerate_push_words
+from qpakit.model import Direction, STACK_BASE
 
-from conftest import make_spec, random_total_dfa, words_up_to
+from conftest import enumerate_push_words, make_spec, random_total_dfa, words_up_to
 import evolve_oracle
 import matrix_oracle as oracle
 

@@ -8,14 +8,12 @@ from qpakit.model import (
     Alphabets,
     KIND_REVERSIBLE,
     SymbolError,
-    enumerate_push_words,
     format_amplitude,
     parse_amplitude,
-    transitions_from,
     validate_structure,
 )
 
-from conftest import ADV, STAY, make_spec
+from conftest import ADV, STAY, enumerate_push_words, make_spec, sources_by_name
 
 
 class TestAmplitudeLiterals:
@@ -81,38 +79,31 @@ class TestPushWords:
 
 
 class TestTransitionsFrom:
+    """Stored entries per (state, tape symbol, popped symbol), as the compiled table groups them."""
+
     def test_l1_scan_step(self):
         spec = zoo.l1_rpa().spec
-        got = transitions_from(spec, "q0", "0", "Z0")
+        got = sources_by_name(spec).get(("q0", "0", "Z0"), [])
         assert got == [("q0", ADV, ("Z0", "0"), complex(1, 0))]
 
     def test_empty_triple(self, advance_copy_spec):
         spec = zoo.l1_rpa().spec
         # q2 has no entry for input 1 with a two-symbol context it never sees
-        assert transitions_from(advance_copy_spec, "q", "x", "1") != []
+        assert sources_by_name(advance_copy_spec).get(("q", "x", "1"), []) != []
         made = make_spec(
             sigma={"a"}, t={"1"}, states={"p"}, q0="p", q_acc=(), q_rej=(),
             entries=[("p", "a", "Z0", "p", ADV, ("Z0",), 1.0)],
         )
-        assert transitions_from(made, "p", "#", "Z0") == []
+        assert sources_by_name(made).get(("p", "#", "Z0"), []) == []
 
     def test_l5_marker_split(self):
         spec = zoo.l5_qpa().spec
-        got = transitions_from(spec, "q0", "#", "Z0")
+        got = sources_by_name(spec).get(("q0", "#", "Z0"), [])
         amps = {q: amp for q, d, om, amp in got}
         assert amps["A0"] == pytest.approx(math.sqrt(2 / 7))
         assert amps["C0"] == pytest.approx(-math.sqrt(2 / 7))
         assert amps["uacc"] == pytest.approx(math.sqrt(3 / 7))
         assert len(got) == 3
-
-    def test_unknown_arguments(self):
-        spec = zoo.l1_rpa().spec
-        with pytest.raises(SymbolError):
-            transitions_from(spec, "nope", "0", "Z0")
-        with pytest.raises(SymbolError):
-            transitions_from(spec, "q0", "7", "Z0")
-        with pytest.raises(SymbolError):
-            transitions_from(spec, "q0", "0", "7")
 
 
 class TestValidateStructure:

@@ -1,5 +1,6 @@
 """Condition checks: bundled machines pass, engineered counterexamples fail."""
 import math
+from functools import partial
 
 import pytest
 
@@ -14,7 +15,6 @@ from qpakit.wellformed import (
     check_local_probability,
     check_row_norm,
     check_separability,
-    check_simplified,
 )
 
 from conftest import ADV, make_spec
@@ -122,17 +122,17 @@ class TestSeparability:
 
 class TestSimplifiedSuite:
     def test_l1_clean(self):
-        assert check_simplified(zoo.l1_rpa().spec) == []
+        assert check_all(zoo.l1_rpa().spec, suite="simplified").passed
 
     def test_l2_clean(self):
-        assert check_simplified(zoo.l2_rpa().spec) == []
+        assert check_all(zoo.l2_rpa().spec, suite="simplified").passed
 
     def test_compiled_ends_in_one_clean(self, ends_in_one_dfa):
-        assert check_simplified(compile_dfa(ends_in_one_dfa)) == []
+        assert check_all(compile_dfa(ends_in_one_dfa), suite="simplified").passed
 
     def test_requires_direction_function(self):
         with pytest.raises(MissingDirectionError):
-            check_simplified(zoo.nonunitary_example())
+            check_all(zoo.nonunitary_example(), suite="simplified")
 
 
 class TestCheckAll:
@@ -217,7 +217,8 @@ class TestToleranceValidation:
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-12])
     @pytest.mark.parametrize("check", [
         check_all, check_local_probability, check_column_orthogonality,
-        check_row_norm, check_separability, check_simplified,
+        check_row_norm, check_separability,
+        pytest.param(partial(check_all, suite="simplified"), id="check_simplified"),
     ])
     def test_rejected(self, check, tol):
         with pytest.raises(ValueError, match="tolerance"):
@@ -282,17 +283,6 @@ class TestSuiteArgument:
     def test_unknown_suite(self):
         with pytest.raises(ValueError, match="suite"):
             check_all(zoo.l2_rpa().spec, suite="partial")
-
-    def test_check_simplified_lists_the_summary_reports(self):
-        spec = make_spec(
-            sigma={"a"}, t={"1"}, states={"q"}, q0="q", q_acc=(), q_rej=(),
-            entries=[("q", "a", "1", "q", ADV, ("1",), math.sqrt(0.5))],
-            kind="simplified", directions={"q": ADV},
-        )
-        summary = check_all(spec, max_reports=3, suite="simplified")
-        reports = check_simplified(spec, max_reports=3)
-        assert reports == [rep for r in summary.results for rep in r.reports]
-        assert len(reports) < summary.total_violations
 
 
 def test_memo_keeps_int_and_float_tolerances_apart():

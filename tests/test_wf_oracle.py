@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 
 from qpakit import zoo
 from qpakit.dfa2rpa import compile_dfa
-from qpakit.model import Alphabets, Direction, enumerate_push_words
+from qpakit.model import Alphabets, Direction
 from qpakit.wellformed import check_all, summary_to_dict
 
-from conftest import make_spec, random_total_dfa
+from conftest import enumerate_push_words, make_spec, random_total_dfa
 from wf_oracle import oracle_summaries
 
 SETTINGS = [(tol, cap) for tol in (0.0, 1e-9, 0.5) for cap in (0, 1, 100)]

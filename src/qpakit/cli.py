@@ -179,6 +179,8 @@ def cmd_batch(args) -> int:
     spec = load_qpa(args.file)
     check_max_steps(args.max_steps)
     check_threshold(args.threshold)
+    if args.csv_out:
+        _check_output_path(args.csv_out)
     words = Path(args.words).read_text(encoding="utf-8").splitlines()
     rows = []
     for word in words:

@@ -22,7 +22,10 @@ interior indices, where truncation cannot fake or hide a deviation:
   holds, so the test is exact.
 
 Window stacks are interned once each, by one push from the parent on a
-run's stack trie.  Documentation elsewhere labels rows and columns
+run's stack trie.  A window holds only its layout (sorted states, the
+tape's heads, the stacks); its ``configs`` and ``index`` views are built
+on first access, and nothing on the way to the matrix and its check
+reads them.  Documentation elsewhere labels rows and columns
 1-based; all indices in this module are 0-based.
 
 The module also ships the standalone fixtures used to probe the banded
@@ -33,6 +36,7 @@ an associativity probe for banded triples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -52,11 +56,15 @@ class WindowCapError(QpaError):
 
 @dataclass(frozen=True)
 class ConfigWindow:
-    """An ordered finite slab of configuration space for one framed tape."""
+    """An ordered finite slab of configuration space for one framed tape.
+
+    Configuration ``i`` is the ``i``-th of ``states`` x heads x ``stacks``, in
+    sorted order; ``configs`` and ``index`` are built on first access.
+    """
 
     tape: TapeContext
-    configs: tuple[Configuration, ...]
-    index: dict[Configuration, int]
+    states: tuple[str, ...]
+    stacks: tuple[tuple[str, ...], ...]
     interior_cols: frozenset[int]
     interior_rows: frozenset[int]
     stack_limit: int
@@ -66,7 +74,16 @@ class ConfigWindow:
     entries: tuple = field(default=((), (), ()), repr=False, compare=False)
 
     def __len__(self) -> int:
-        return len(self.configs)
+        return len(self.states) * len(self.tape) * len(self.stacks)
+
+    @cached_property
+    def configs(self) -> tuple[Configuration, ...]:
+        return tuple(Configuration(q, h, s)
+                     for q, h, s in product(self.states, range(len(self.tape)), self.stacks))
+
+    @cached_property
+    def index(self) -> dict[Configuration, int]:
+        return {c: i for i, c in enumerate(self.configs)}
 
 
 @dataclass(frozen=True)
@@ -159,13 +176,13 @@ def enumerate_window(spec: QpaSpec, word, radius: int, cap: int = WINDOW_CAP) ->
         if len(stack) < stack_limit:
             todo += [(run.push(sid, c), stack + (ids.syms[c],)) for c in children]
     states, heads = sorted(spec.states), range(len(tape))
-    configs = [Configuration(q, h, s) for q, h, (_, s) in product(states, heads, stacks)]
-    index = {c: i for i, c in enumerate(configs)}
-    by_key = {run.pack(sid, h, ids.state_id[q]): i
-              for i, (q, h, (sid, _)) in enumerate(product(states, heads, stacks))}
-    interior_cols = set()
+    # configuration b * len(stacks) + j is block b = (state, head) on stack j
+    blocks = [(h << run.qbits) | ids.state_id[q] for q in states for h in heads]
+    keys = [hq | (sid << run.hshift) for hq in blocks for sid, _ in stacks]
+    by_key = dict(zip(keys, range(len(keys))))
+    interior_cols = []
     rows, cols, vals = [], [], []
-    for key, c_idx in by_key.items():
+    for c_idx, key in enumerate(keys):
         targets, overran = step_targets(run, key)
         inside = not overran
         for target, amp in targets:
@@ -177,7 +194,7 @@ def enumerate_window(spec: QpaSpec, word, radius: int, cap: int = WINDOW_CAP) ->
                 cols.append(c_idx)
                 vals.append(amp)
         if inside:
-            interior_cols.add(c_idx)
+            interior_cols.append(c_idx)
 
     # The entries whose source can lie outside the window (module docstring)
     deeper, outside = set(), {}
@@ -188,15 +205,18 @@ def enumerate_window(spec: QpaSpec, word, radius: int, cap: int = WINDOW_CAP) ->
             deeper.add((k.q, k.sigma, k.d))
     interior_rows = []
     for b, (q, h) in enumerate(product(states, heads)):
+        if not h:
+            continue
         cells = ((q, tape.symbols[h], Direction.STAY), (q, tape.symbols[h - 1], Direction.ADVANCE))
         full = any(cell in deeper for cell in cells)
         foreign = [e for cell in cells for e in outside.get(cell, ())]
-        interior_rows += [
-            b * len(stacks) + j for j, (_, s) in enumerate(stacks)
-            if h and not (full and len(s) == stack_limit) and not (foreign and any(
-                s[len(s) - len(w):] == w and based == (len(s) == len(w)) for w, based in foreign))]
+        block = range(b * len(stacks), (b + 1) * len(stacks))
+        interior_rows += block if not (full or foreign) else [
+            i for i, (_, s) in zip(block, stacks)
+            if not (full and len(s) == stack_limit) and not any(
+                s[len(s) - len(w):] == w and based == (len(s) == len(w)) for w, based in foreign)]
 
-    return ConfigWindow(tape=tape, configs=tuple(configs), index=index,
+    return ConfigWindow(tape=tape, states=tuple(states), stacks=tuple(s for _, s in stacks),
                         interior_cols=frozenset(interior_cols), interior_rows=frozenset(interior_rows),
                         stack_limit=stack_limit, spec=spec, entries=(rows, cols, vals))
 
@@ -209,7 +229,7 @@ def build_matrix(spec: QpaSpec, window: ConfigWindow) -> TruncatedMatrix:
     if window.spec is not spec:
         raise QpaError("the window was not enumerated for this automaton")
     return _matrix_from_triplets(
-        len(window.configs), *window.entries,
+        len(window), *window.entries,
         window.interior_cols, window.interior_rows)
 
 

@@ -65,14 +65,17 @@ def enumerate_window(spec: QpaSpec, word, radius: int, cap: int = WINDOW_CAP) ->
         if _preds_inside(spec, tape, c, by_target, stack_limit):
             interior_rows.add(i)
 
-    return ConfigWindow(
+    window = ConfigWindow(
         tape=tape,
-        configs=tuple(configs),
-        index=index,
+        states=tuple(sorted(spec.states)),
+        stacks=tuple(sorted(stacks)),
         interior_cols=frozenset(interior_cols),
         interior_rows=frozenset(interior_rows),
         stack_limit=stack_limit,
     )
+    # eager views: this lab's own sorted configurations and index
+    vars(window).update(configs=tuple(configs), index=index)
+    return window
 
 
 def _enumerate_stacks(t_symbols: tuple[str, ...], stack_limit: int) -> list[tuple[str, ...]]:

@@ -494,6 +494,15 @@ class TestErrorBoundary:
         err = capsys.readouterr().err
         assert err.startswith("error: threshold must lie in (0.5, 1]") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("dst", ["unwritable", "directory"])
+    def test_batch_checks_the_csv_path_before_it_recognizes(self, dst, bad, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("recognized before the CSV path was checked")
+        monkeypatch.setattr("qpakit.cli.recognize", unreachable)
+        assert main(["batch", bad["l2"], bad["words"], "--csv-out", bad[dst]]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and err.count("\n") == 1 and bad[dst] in err, err
+
     def test_long_bad_word_gives_a_bounded_message(self, files, tmp_path, capsys):
         words = tmp_path / "long.words"
         words.write_text("x" * 50000 + "\n", encoding="utf-8")

@@ -182,3 +182,27 @@ def test_predecessors_invert_successors():
         for target, amp in targets:
             back = oracle.predecessors(spec, w.tape, target)
             assert (config, amp) in back
+
+
+def test_window_matrix_and_check_build_no_configuration(monkeypatch):
+    """The matrix and its check read only the window's layout and entries; the
+    views, built on first access, equal the oracle's eager ones."""
+    built = []
+    monkeypatch.setattr(matrixlab, "Configuration", lambda *a: built.append(a) or Configuration(*a))
+    spec = zoo.l5_qpa().spec
+    w = matrixlab.enumerate_window(spec, "abc", 3)
+    matrixlab.check_truncated_unitarity(matrixlab.build_matrix(spec, w))
+    assert built == [] and "configs" not in vars(w) and "index" not in vars(w)
+    want = oracle.enumerate_window(spec, "abc", 3)
+    assert w.configs == want.configs and len(built) == len(w)
+    assert list(w.index.items()) == list(want.index.items())
+
+
+@pytest.mark.parametrize("name", sorted(zoo.fixture_specs()))
+def test_lazy_window_compares_and_prints_as_an_eager_one(name):
+    spec = zoo.fixture_specs()[name]
+    word = "".join(sorted(spec.alphabets.sigma)[:2])
+    for radius in range(3):
+        w, eager = matrixlab.enumerate_window(spec, word, radius), oracle.enumerate_window(spec, word, radius)
+        assert (w == eager, repr(w), len(w)) == (True, repr(eager), len(eager.configs))
+        assert "configs" not in vars(w) and "index" not in vars(w)

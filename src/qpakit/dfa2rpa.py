@@ -59,10 +59,9 @@ def compile_dfa(dfa: DfaSpec) -> QpaSpec:
 
     Accepting states are the primed twins of DFA finals; every other
     primed state rejects, so the run halts right after the end marker.
+    ``dfa.validate`` refuses an empty DFA: its initial state is undeclared.
     """
     dfa.validate()
-    if not dfa.states:
-        raise QpaError("cannot compile an empty DFA")
 
     plain = sorted(dfa.states)
     taken = set(plain)

@@ -68,15 +68,8 @@ class TapeContext:
             raise ValueError("tape must be a framed word with both end markers")
 
     @classmethod
-    def from_word(cls, spec: QpaSpec, word) -> "TapeContext":
-        if isinstance(word, str):
-            syms = tokenize_word(spec.alphabets, word)
-        else:
-            syms = tuple(word)
-            for s in syms:
-                if s not in spec.alphabets.sigma:
-                    raise QpaError(f"{s!r} is not an input symbol")
-        return cls((LEFT_MARKER, *syms, RIGHT_MARKER))
+    def from_word(cls, spec: QpaSpec, word: str) -> "TapeContext":
+        return cls((LEFT_MARKER, *tokenize_word(spec.alphabets, word), RIGHT_MARKER))
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -301,7 +294,7 @@ def _initial(run: _Run) -> Superposition:
     return Superposition(run, {key: 1.0 + 0.0j})
 
 
-def initial_superposition(spec: QpaSpec, word) -> Superposition:
+def initial_superposition(spec: QpaSpec, word: str) -> Superposition:
     """Unit mass on (initial state, head on the left marker, base stack)."""
     return _initial(_Run(spec, TapeContext.from_word(spec, word)))
 
@@ -405,60 +398,42 @@ def default_max_steps(word_length: int) -> int:
     return 20 * (word_length + 2)
 
 
-def _ensure_well_formed(spec: QpaSpec, force: bool) -> None:
-    if force:
-        return
-    summary = check_all(spec)
-    if not summary.passed:
-        raise NotWellFormedError(summary)
+def _fold(spec: QpaSpec, word: str, max_steps: int | None = None, halt_eps: float = HALT_EPS,
+          force: bool = False, trace_out: list[TraceStep] | None = None) -> RecognitionResult:
+    """The one recognition loop; with ``trace_out``, it also collects its steps there.
 
-
-def _steps(spec: QpaSpec, word, max_steps: int | None, halt_eps: float, force: bool):
-    """The one recognition loop.
-
-    Yields ``(step, evolved superposition, accept increment, reject
-    increment, p_accept, p_reject, residual norm²)`` per step, and stops
-    after the step whose residual drops below ``halt_eps`` or after
-    ``max_steps`` steps.  The evolution and the observation are looked
-    up as module globals on every step.
+    It stops after the step whose residual drops below ``halt_eps`` or
+    after ``max_steps`` steps.  The evolution and the observation are
+    looked up as module globals on every step.  ``recognize`` and
+    ``trace`` call it; ``run --trace`` calls it directly to get both from
+    one run.
     """
-    _ensure_well_formed(spec, force)
+    check_max_steps(max_steps)
+    if not force:
+        summary = check_all(spec)
+        if not summary.passed:
+            raise NotWellFormedError(summary)
     tape = TapeContext.from_word(spec, word)
     if max_steps is None:
         max_steps = default_max_steps(len(tape) - 2)
     psi = _initial(_Run(spec, tape))
-    p_acc = 0.0
-    p_rej = 0.0
+    step, p_acc, p_rej, residual = 0, 0.0, 0.0, 1.0
     for step in range(1, max_steps + 1):
         evolved = apply_evolution(spec, tape, psi)
         acc_inc, rej_inc, psi = measure(evolved, spec.q_accept, spec.q_reject)
         p_acc += acc_inc
         p_rej += rej_inc
         residual = psi.norm_squared()
-        yield step, evolved, acc_inc, rej_inc, p_acc, p_rej, residual
-        if residual < halt_eps:
-            return
-
-
-def _fold(spec: QpaSpec, word, max_steps: int | None = None, halt_eps: float = HALT_EPS,
-          force: bool = False, trace_out: list[TraceStep] | None = None) -> RecognitionResult:
-    """Fold the loop into a result; with ``trace_out``, also collect its steps there.
-
-    ``recognize`` and ``trace`` are this fold; ``run --trace`` calls it
-    directly to get both from one run.
-    """
-    check_max_steps(max_steps)
-    step, p_acc, p_rej, residual = 0, 0.0, 0.0, 1.0
-    for step, evolved, acc_inc, rej_inc, p_acc, p_rej, residual in _steps(
-            spec, word, max_steps, halt_eps, force):
         if trace_out is not None:
             trace_out.append(TraceStep(step, tuple(evolved.sorted_items()), acc_inc, rej_inc,
                                        p_acc, p_rej, residual))
+        if residual < halt_eps:
+            break
     return RecognitionResult(p_accept=p_acc, p_reject=p_rej, p_nonhalt=residual,
                              steps=step, halted=step > 0 and residual < halt_eps)
 
 
-def recognize(spec: QpaSpec, word, max_steps: int | None = None,
+def recognize(spec: QpaSpec, word: str, max_steps: int | None = None,
               halt_eps: float = HALT_EPS, force: bool = False) -> RecognitionResult:
     """Run the measure-many recognition loop on one input word.
 
@@ -470,7 +445,7 @@ def recognize(spec: QpaSpec, word, max_steps: int | None = None,
     return _fold(spec, word, max_steps, halt_eps, force)
 
 
-def trace(spec: QpaSpec, word, max_steps: int | None = None,
+def trace(spec: QpaSpec, word: str, max_steps: int | None = None,
           halt_eps: float = HALT_EPS, force: bool = False) -> list[TraceStep]:
     """Like recognize, but snapshots every step's pre-observation state."""
     steps: list[TraceStep] = []

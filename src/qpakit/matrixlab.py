@@ -48,6 +48,7 @@ from .model import Direction, STACK_BASE, QpaError, QpaSpec
 GRAM_DENSE_LIMIT = 160     # dimension from which the Gram checks go sparse
 WINDOW_CAP = 10 ** 6
 DEFAULT_MATRIX_TOL = 1e-8
+TEXT_MAX_DIM = 24          # largest dimension matrix_to_text prints as a grid
 
 
 class WindowCapError(QpaError):
@@ -144,7 +145,7 @@ def _count_stacks(n_symbols: int, stack_limit: int) -> int:
     return stack_limit if n_symbols == 1 else (n_symbols ** stack_limit - 1) // (n_symbols - 1)
 
 
-def enumerate_window(spec: QpaSpec, word, radius: int, cap: int = WINDOW_CAP) -> ConfigWindow:
+def enumerate_window(spec: QpaSpec, word: str, radius: int, cap: int = WINDOW_CAP) -> ConfigWindow:
     """Rectangular window: all stacks up to depth ``radius + 2`` over the tape.
 
     The depth budget covers everything a run can reach in ``radius``
@@ -404,9 +405,9 @@ def matrix_to_dict(matrix: TruncatedMatrix) -> dict:
     }
 
 
-def matrix_to_text(matrix: TruncatedMatrix, max_dim: int = 24) -> str:
+def matrix_to_text(matrix: TruncatedMatrix) -> str:
     """Plain-text grid for small matrices; real parts only when all-real."""
-    if matrix.dim > max_dim:
+    if matrix.dim > TEXT_MAX_DIM:
         return f"<{matrix.dim}x{matrix.dim} matrix; too large to print>"
     dense = matrix.to_dense()
     all_real = bool(np.all(dense.imag == 0.0))

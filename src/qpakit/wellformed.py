@@ -10,6 +10,10 @@ Condition identifiers
     general     LPC, OCV, RVN, SEP1a, SEP1b, SEP2, SEP3a, SEP3b
     simplified  LPC2, OCV2, RVN2, SEP_a, SEP_b
 
+Both lists come from one table per suite (``_SUITES``): each scan with
+the ids of the conditions it fills, in report order.  ``check_all`` and
+the four public ``check_*`` functions build their collectors from it.
+
 LPC asks each source column to carry unit probability; OCV asks columns
 sharing a tape symbol to be orthogonal; RVN asks each target row to
 carry unit probability; the separability conditions rule out collisions
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import product
 
 from .model import (
@@ -48,9 +53,6 @@ from .model import (
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_REPORTS = 100
-
-GENERAL_CONDITIONS = ("LPC", "OCV", "RVN", "SEP1a", "SEP1b", "SEP2", "SEP3a", "SEP3b")
-SIMPLIFIED_CONDITIONS = ("LPC2", "OCV2", "RVN2", "SEP_a", "SEP_b")
 
 # direction ids as the compiled table numbers them
 _SAME = {ADVANCE_ID: ADVANCE_ID, STAY_ID: STAY_ID}
@@ -277,42 +279,30 @@ def _shift_sums(srcs: list[_Source], declared: list, turns: list[dict]) -> list[
     return out
 
 
-def _scan_local_probability(spec: QpaSpec, tol: float, max_reports: int,
-                            condition_id: str) -> _Collector:
-    t = _index(spec)
-    col = _Collector(condition_id, tol, max_reports)
+def _scan_local_probability(t: _Index, col: _Collector) -> None:
     norms = {src.ids: sum(abs(a) ** 2 for a in src.full.values()) for src in t.sources}
     tab = t.table
     ids = product([tab.state_id[q] for q in t.states], [tab.tape_id[s] for s in t.gam],
                   [tab.sym_id[s] for s in t.dl])
     for src, key in zip(product(t.states, t.gam, t.dl), ids):
         col.add(src, abs(norms.get(key, 0) - 1.0))
-    return col
 
 
-def _scan_column_orthogonality(spec: QpaSpec, tol: float, max_reports: int,
-                               condition_id: str) -> _Collector:
-    t = _index(spec)
-    col = _Collector(condition_id, tol, max_reports)
+def _scan_column_orthogonality(t: _Index, col: _Collector) -> None:
     for srcs in t.by_sigma:
         cols = [(src.ids, src.full) for src in srcs]
         _feed(col, _colliding_dots(cols, cols, upper=True), lambda i, j: t.names(i) + t.names(j)[::2])
-    return col
 
 
-def _scan_row_norm(spec: QpaSpec, tol: float, max_reports: int,
-                   condition_id: str) -> _Collector:
-    """RVN over every (advancing, staying) tape symbol pair; RVN2 over equal ones.
+def _scan_row_norm(t: _Index, col: _Collector, simplified: bool = False) -> None:
+    """RVN over every (advancing, staying) tape symbol pair; RVN2 (``simplified``) over equal ones.
 
     A row sums the empty, single and double push terms of its advancing
     sources, then those of its staying sources.  The advancing half is
     summed once per (state, tape symbol) and the staying terms are added
     to it one by one, which is the order the row sum has always used.
     """
-    t = _index(spec)
-    col = _Collector(condition_id, tol, max_reports)
     tape_id = t.table.tape_id
-    simplified = condition_id == "RVN2"
     ids = t.table.sym_id
     taus = [(tau1, tau2) for tau1 in t.dl for tau2 in t.dl]
     pushes = [((), (ids[tau2],), (ids[tau1], ids[tau2])) for tau1, tau2 in taus]
@@ -334,11 +324,9 @@ def _scan_row_norm(spec: QpaSpec, tol: float, max_reports: int,
                     r = abs(a + b0 + b1 + b2 - 1.0)
                     if r:
                         col.add(head + tt, r)
-    return col
 
 
-def _scan_sep_shared_sigma(spec: QpaSpec, tol: float, max_reports: int,
-                           id_a: str, id_b: str) -> tuple[_Collector, _Collector]:
+def _scan_sep_shared_sigma(t: _Index, col_a: _Collector, col_b: _Collector) -> None:
     """Stack-shift collisions between columns that read the same tape symbol.
 
     Part a pairs single pushes against two-symbol pushes and empty pushes
@@ -347,26 +335,17 @@ def _scan_sep_shared_sigma(spec: QpaSpec, tol: float, max_reports: int,
     for configurations whose stacks differ in depth, which one table
     triple can realize on its own.
     """
-    t = _index(spec)
-    col_a = _Collector(id_a, tol, max_reports)
-    col_b = _Collector(id_b, tol, max_reports)
     for srcs in t.by_sigma:
         for col, part in zip((col_a, col_b), _shift_sums(srcs, t.declared, [_SAME])[0]):
             _feed(col, part, lambda i1, i2, t3: t.names(i1) + t.names(i2)[::2] + (t.table.syms[t3],))
-    return col_a, col_b
 
 
-def _scan_sep_mixed(spec: QpaSpec, tol: float, max_reports: int
-                    ) -> tuple[_Collector, _Collector, _Collector]:
+def _scan_sep_mixed(t: _Index, col2: _Collector, col3a: _Collector, col3b: _Collector) -> None:
     """Collisions between a staying source and an advancing source.
 
     SEP2 pairs equal push words; SEP3a/SEP3b pair push words that differ
     by one net symbol, in both direction assignments.
     """
-    t = _index(spec)
-    col2 = _Collector("SEP2", tol, max_reports)
-    col3a = _Collector("SEP3a", tol, max_reports)
-    col3b = _Collector("SEP3b", tol, max_reports)
     # SEP2 pairs a staying entry with an advancing one to the same (q, omega)
     halves = [[(s.ids, {(q, w): a for (q, d, w), a in s.full.items() if d == want}) for s in t.sources]
               for want in (STAY_ID, ADVANCE_ID)]
@@ -377,40 +356,19 @@ def _scan_sep_mixed(spec: QpaSpec, tol: float, max_reports: int
         sums = {key + (k,): v for k, pair in enumerate(by_pair) for key, v in pair[part].items()}
         _feed(col, sums, lambda i1, i2, t3, k:
               t.names(i1) + t.names(i2) + (t.table.syms[t3], DIRECTIONS[_MIXED[k][0]].value))
-    return col2, col3a, col3b
 
 
-# --- public checks ------------------------------------------------------------
-
-def check_local_probability(spec: QpaSpec, tol: float = DEFAULT_TOL,
-                            max_reports: int = DEFAULT_MAX_REPORTS) -> list[ConditionReport]:
-    """Each (state, tape symbol, popped symbol) column sums to probability 1."""
-    return list(_scan_local_probability(spec, tol, max_reports, "LPC").reports)
-
-
-def check_column_orthogonality(spec: QpaSpec, tol: float = DEFAULT_TOL,
-                               max_reports: int = DEFAULT_MAX_REPORTS) -> list[ConditionReport]:
-    """Distinct columns reading the same tape symbol are orthogonal."""
-    return list(_scan_column_orthogonality(spec, tol, max_reports, "OCV").reports)
-
-
-def check_row_norm(spec: QpaSpec, tol: float = DEFAULT_TOL,
-                   max_reports: int = DEFAULT_MAX_REPORTS) -> list[ConditionReport]:
-    """Each target row carries unit probability.
-
-    A row is indexed by a target state, the tape symbol consumed by its
-    advancing sources, the tape symbol read by its staying sources, and
-    the last two symbols of the target stack.
-    """
-    return list(_scan_row_norm(spec, tol, max_reports, "RVN").reports)
-
-
-def check_separability(spec: QpaSpec, tol: float = DEFAULT_TOL,
-                       max_reports: int = DEFAULT_MAX_REPORTS) -> list[ConditionReport]:
-    """All five separability sums for a general table."""
-    cols = (*_scan_sep_shared_sigma(spec, tol, max_reports, "SEP1a", "SEP1b"),
-            *_scan_sep_mixed(spec, tol, max_reports))
-    return [rep for c in cols for rep in c.reports]
+# Each suite's scans in report order, each with the ids of the conditions it fills
+_SUITES = {
+    "general": ((_scan_local_probability, "LPC"), (_scan_column_orthogonality, "OCV"),
+                (_scan_row_norm, "RVN"), (_scan_sep_shared_sigma, "SEP1a", "SEP1b"),
+                (_scan_sep_mixed, "SEP2", "SEP3a", "SEP3b")),
+    "simplified": ((_scan_local_probability, "LPC2"), (_scan_column_orthogonality, "OCV2"),
+                   (partial(_scan_row_norm, simplified=True), "RVN2"),
+                   (_scan_sep_shared_sigma, "SEP_a", "SEP_b")),
+}
+GENERAL_CONDITIONS = tuple(i for _, *ids in _SUITES["general"] for i in ids)
+SIMPLIFIED_CONDITIONS = tuple(i for _, *ids in _SUITES["simplified"] for i in ids)
 
 
 def _require_direction(spec: QpaSpec) -> None:
@@ -421,18 +379,54 @@ def _require_direction(spec: QpaSpec) -> None:
         raise MissingDirectionError(f"direction undefined for {sorted(missing)}")
 
 
-def _collectors(spec: QpaSpec, tol: float, max_reports: int, suite: str) -> list[_Collector]:
+def _collect(spec: QpaSpec, tol: float, max_reports: int, suite: str,
+             scans=None) -> list[_Collector]:
+    """Run the suite's scans, or those of them in ``scans``; their collectors in suite order."""
     if suite == "simplified":
         _require_direction(spec)
-        return [_scan_local_probability(spec, tol, max_reports, "LPC2"),
-                _scan_column_orthogonality(spec, tol, max_reports, "OCV2"),
-                _scan_row_norm(spec, tol, max_reports, "RVN2"),
-                *_scan_sep_shared_sigma(spec, tol, max_reports, "SEP_a", "SEP_b")]
-    return [_scan_local_probability(spec, tol, max_reports, "LPC"),
-            _scan_column_orthogonality(spec, tol, max_reports, "OCV"),
-            _scan_row_norm(spec, tol, max_reports, "RVN"),
-            *_scan_sep_shared_sigma(spec, tol, max_reports, "SEP1a", "SEP1b"),
-            *_scan_sep_mixed(spec, tol, max_reports)]
+    t = _index(spec)
+    out = []
+    for scan, *ids in _SUITES[suite]:
+        if scans is None or scan in scans:
+            cols = [_Collector(i, tol, max_reports) for i in ids]
+            scan(t, *cols)
+            out += cols
+    return out
+
+
+# --- public checks ------------------------------------------------------------
+
+def _reports(spec: QpaSpec, tol: float, max_reports: int, *scans) -> list[ConditionReport]:
+    return [rep for c in _collect(spec, tol, max_reports, "general", scans) for rep in c.reports]
+
+
+def check_local_probability(spec: QpaSpec, tol: float = DEFAULT_TOL,
+                            max_reports: int = DEFAULT_MAX_REPORTS) -> list[ConditionReport]:
+    """Each (state, tape symbol, popped symbol) column sums to probability 1."""
+    return _reports(spec, tol, max_reports, _scan_local_probability)
+
+
+def check_column_orthogonality(spec: QpaSpec, tol: float = DEFAULT_TOL,
+                               max_reports: int = DEFAULT_MAX_REPORTS) -> list[ConditionReport]:
+    """Distinct columns reading the same tape symbol are orthogonal."""
+    return _reports(spec, tol, max_reports, _scan_column_orthogonality)
+
+
+def check_row_norm(spec: QpaSpec, tol: float = DEFAULT_TOL,
+                   max_reports: int = DEFAULT_MAX_REPORTS) -> list[ConditionReport]:
+    """Each target row carries unit probability.
+
+    A row is indexed by a target state, the tape symbol consumed by its
+    advancing sources, the tape symbol read by its staying sources, and
+    the last two symbols of the target stack.
+    """
+    return _reports(spec, tol, max_reports, _scan_row_norm)
+
+
+def check_separability(spec: QpaSpec, tol: float = DEFAULT_TOL,
+                       max_reports: int = DEFAULT_MAX_REPORTS) -> list[ConditionReport]:
+    """All five separability sums for a general table."""
+    return _reports(spec, tol, max_reports, _scan_sep_shared_sigma, _scan_sep_mixed)
 
 
 def check_all(spec: QpaSpec, tol: float = DEFAULT_TOL,
@@ -448,12 +442,12 @@ def check_all(spec: QpaSpec, tol: float = DEFAULT_TOL,
     """
     if suite is None:
         suite = "simplified" if spec.kind in (KIND_SIMPLIFIED, KIND_REVERSIBLE) else "general"
-    if suite not in ("general", "simplified"):
+    if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     memo = cached_on(spec, "_wf_summaries", lambda _: {})
     key = (type(tol), tol, max_reports, suite)     # 0 and 0.0 print differently
     if key not in memo:
-        results = tuple(c.result() for c in _collectors(spec, tol, max_reports, suite))
+        results = tuple(c.result() for c in _collect(spec, tol, max_reports, suite))
         total = sum(r.violations for r in results)
         memo[key] = ConditionSummary(
             suite=suite, tolerance=tol, results=results, passed=total == 0,

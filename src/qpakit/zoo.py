@@ -17,7 +17,8 @@ pops both advance the head, so a comparator reaches the end marker after
 exactly one step per symbol, whatever the word.  The probabilistic split
 on the left marker is one column of a real orthogonal block; the block's
 other columns are parked on auxiliary states that no run ever enters but
-that the unitarity conditions require.
+that the unitarity conditions require.  ``l3`` and ``l5`` are one
+construction, ``_split_machine``, with different split blocks.
 
 In ``l5`` the two comparators do not accept on their own.  Their success
 configurations feed a shared two-by-two rotation onto a common accept
@@ -167,7 +168,7 @@ def comparator_gadget(x_symbol: str, y_symbol: str, ignore_symbols=(), prefix: s
 
 def _spec_from_rows(name, sigma, states, q0, q_accept, q_reject, kind,
                     directions, rows, stack_syms=_STACK_SYMS) -> QpaSpec:
-    """rows: (q1, sigma, tau, q, omega, amplitude-literal)."""
+    """rows: (q1, sigma, tau, q, omega, amplitude-literal); a general kind has no direction function."""
     delta = {}
     literals = {}
     for q1, s, tau, q, om, lit in rows:
@@ -185,7 +186,7 @@ def _spec_from_rows(name, sigma, states, q0, q_accept, q_reject, kind,
         q_reject=frozenset(q_reject),
         delta=delta,
         kind=kind,
-        direction_fn=dict(directions),
+        direction_fn=None if kind == KIND_GENERAL else dict(directions),
         amp_literals=literals,
         name=name,
     )
@@ -276,26 +277,44 @@ def l2_rpa() -> ZooEntry:
 
 # --- probabilistic machines -----------------------------------------------------
 
-
-def _frame_rows(frame_states, sigma_all, block_sources, taus):
-    """Self-loop columns for the glue states, skipping the block sources."""
-    rows = []
-    for s in frame_states:
-        for sym in sigma_all:
-            for tau in taus:
-                if (s, sym, tau) in block_sources:
-                    continue
-                rows.append((s, sym, tau, s, (tau,), "1"))
-    return rows
+_SPLIT_SOURCES = ("q0", "u1", "u2")
 
 
-def _gadget_rows(gadget: ComparatorTable, skip=()):
-    skip = set(skip)
-    return [
-        (q1, s, tau, q, om, "1")
-        for q1, s, tau, q, om in gadget.entries
-        if (q1, s, tau) not in skip
-    ]
+def _split_machine(name, g1: ComparatorTable, g2: ComparatorTable, third, split, frame,
+                   q_accept, q_reject, end_rows=()) -> QpaSpec:
+    """Two comparators behind an orthogonal split on the left marker.
+
+    Row ``i`` of ``split`` holds the amplitude literals from
+    ``_SPLIT_SOURCES[i]`` on ``(#, Z0)`` onto ``g1.scan``, ``g2.scan`` and
+    ``third`` (``None`` for no entry); each target returns to the source of
+    its place.  The split, its returns and ``end_rows`` replace the
+    comparators' rows and the ``frame`` states' self-loops on their
+    sources.  Every frame state stays except ``q0``, which advances.
+    """
+    targets = (g1.scan, g2.scan, third)
+    block = [(src, LEFT_MARKER, _Z, q, (_Z,), lit)
+             for src, lits in zip(_SPLIT_SOURCES, split)
+             for q, lit in zip(targets, lits) if lit]
+    block += [(q, LEFT_MARKER, _Z, src, (_Z,), "1") for q, src in zip(targets, _SPLIT_SOURCES)]
+    block += end_rows
+    replaced = {row[:3] for row in block}
+    rows = [(*row, "1") for g in (g1, g2) for row in g.entries if row[:3] not in replaced]
+    for s in frame:
+        for sym in (LEFT_MARKER, RIGHT_MARKER, "a", "b", "c"):
+            for tau in (_Z, *_STACK_SYMS):
+                if (s, sym, tau) not in replaced:
+                    rows.append((s, sym, tau, s, (tau,), "1"))
+    return _spec_from_rows(
+        name=name,
+        sigma=("a", "b", "c"),
+        states=(*g1.states, *g2.states, *frame),
+        q0="q0",
+        q_accept=q_accept,
+        q_reject=q_reject,
+        kind=KIND_SIMPLIFIED,
+        directions={**g1.directions, **g2.directions, **{s: _STAY for s in frame}, "q0": _ADV},
+        rows=rows + block,
+    )
 
 
 @lru_cache(maxsize=None)
@@ -309,44 +328,12 @@ def l3_qpa() -> ZooEntry:
     """
     ab = comparator_gadget("a", "b", ignore_symbols=("c",), prefix="A")
     bc = comparator_gadget("b", "c", ignore_symbols=("a",), prefix="B")
-    taus = (_Z, *_STACK_SYMS)
-    sigma_all = (LEFT_MARKER, RIGHT_MARKER, "a", "b", "c")
-    frame = ("q0", "u1", "u2", "r")
-    block_sources = {(s, LEFT_MARKER, _Z) for s in frame}
-
-    rows = []
-    rows += _gadget_rows(ab, skip={(ab.scan, LEFT_MARKER, _Z)})
-    rows += _gadget_rows(bc, skip={(bc.scan, LEFT_MARKER, _Z)})
-    rows += _frame_rows(frame, sigma_all, block_sources, taus)
-    # orthogonal three-way split on the left marker; columns u1, u2 are
-    # the unreachable completions of the q0 column
-    rows += [
-        ("q0", LEFT_MARKER, _Z, ab.scan, (_Z,), "sqrt(1/3)"),
-        ("q0", LEFT_MARKER, _Z, bc.scan, (_Z,), "sqrt(1/3)"),
-        ("q0", LEFT_MARKER, _Z, "r", (_Z,), "sqrt(1/3)"),
-        ("u1", LEFT_MARKER, _Z, ab.scan, (_Z,), "sqrt(1/2)"),
-        ("u1", LEFT_MARKER, _Z, bc.scan, (_Z,), "-sqrt(1/2)"),
-        ("u2", LEFT_MARKER, _Z, ab.scan, (_Z,), "sqrt(1/6)"),
-        ("u2", LEFT_MARKER, _Z, bc.scan, (_Z,), "sqrt(1/6)"),
-        ("u2", LEFT_MARKER, _Z, "r", (_Z,), "-sqrt(2/3)"),
-        (ab.scan, LEFT_MARKER, _Z, "q0", (_Z,), "1"),
-        (bc.scan, LEFT_MARKER, _Z, "u1", (_Z,), "1"),
-        ("r", LEFT_MARKER, _Z, "u2", (_Z,), "1"),
-    ]
-    # the r row above replaces its frame self-loop on (marker, base)
-    directions = {**ab.directions, **bc.directions,
-                  "q0": _ADV, "u1": _STAY, "u2": _STAY, "r": _STAY}
-    spec = _spec_from_rows(
-        name="l3",
-        sigma=("a", "b", "c"),
-        states=(*ab.states, *bc.states, *frame),
-        q0="q0",
-        q_accept=(ab.accept, bc.accept),
-        q_reject=("r", ab.reject, bc.reject),
-        kind=KIND_SIMPLIFIED,
-        directions=directions,
-        rows=rows,
-    )
+    # the q0 row is the split; rows u1 and u2 are its unreachable completions
+    split = [("sqrt(1/3)", "sqrt(1/3)", "sqrt(1/3)"),
+             ("sqrt(1/2)", "-sqrt(1/2)", None),
+             ("sqrt(1/6)", "sqrt(1/6)", "-sqrt(2/3)")]
+    spec = _split_machine("l3", ab, bc, "r", split, frame=("q0", "u1", "u2", "r"),
+                          q_accept=(ab.accept, bc.accept), q_reject=("r", ab.reject, bc.reject))
     oracle = lambda w: w.count("a") == w.count("b") == w.count("c")
     return ZooEntry(
         name="l3",
@@ -372,32 +359,11 @@ def l5_qpa() -> ZooEntry:
     """
     ab = comparator_gadget("a", "b", ignore_symbols=("c",), prefix="A")
     ac = comparator_gadget("a", "c", ignore_symbols=("b",), prefix="C")
-    taus = (_Z, *_STACK_SYMS)
-    sigma_all = (LEFT_MARKER, RIGHT_MARKER, "a", "b", "c")
-    frame = ("q0", "u1", "u2", "uacc", "acc", "rx")
-    block_sources = {(s, LEFT_MARKER, _Z) for s in ("q0", "u1", "u2", "uacc")}
-    block_sources |= {("acc", RIGHT_MARKER, _Z), ("rx", RIGHT_MARKER, _Z)}
-
-    rows = []
-    rows += _gadget_rows(ab, skip={(ab.scan, LEFT_MARKER, _Z),
-                                   (ab.scan, RIGHT_MARKER, _Z)})
-    rows += _gadget_rows(ac, skip={(ac.scan, LEFT_MARKER, _Z),
-                                   (ac.scan, RIGHT_MARKER, _Z)})
-    rows += _frame_rows(frame, sigma_all, block_sources, taus)
-    rows += [
-        # marker split and its orthogonal completions
-        ("q0", LEFT_MARKER, _Z, ab.scan, (_Z,), "sqrt(2/7)"),
-        ("q0", LEFT_MARKER, _Z, ac.scan, (_Z,), "-sqrt(2/7)"),
-        ("q0", LEFT_MARKER, _Z, "uacc", (_Z,), "sqrt(3/7)"),
-        ("u1", LEFT_MARKER, _Z, ab.scan, (_Z,), "sqrt(1/2)"),
-        ("u1", LEFT_MARKER, _Z, ac.scan, (_Z,), "sqrt(1/2)"),
-        ("u2", LEFT_MARKER, _Z, ab.scan, (_Z,), "-sqrt(3/14)"),
-        ("u2", LEFT_MARKER, _Z, ac.scan, (_Z,), "sqrt(3/14)"),
-        ("u2", LEFT_MARKER, _Z, "uacc", (_Z,), "sqrt(4/7)"),
-        (ab.scan, LEFT_MARKER, _Z, "q0", (_Z,), "1"),
-        (ac.scan, LEFT_MARKER, _Z, "u1", (_Z,), "1"),
-        ("uacc", LEFT_MARKER, _Z, "u2", (_Z,), "1"),
-        # shared end-marker rotation: balanced comparators meet here
+    split = [("sqrt(2/7)", "-sqrt(2/7)", "sqrt(3/7)"),
+             ("sqrt(1/2)", "sqrt(1/2)", None),
+             ("-sqrt(3/14)", "sqrt(3/14)", "sqrt(4/7)")]
+    # shared end-marker rotation: balanced comparators meet here
+    rotation = [
         (ab.scan, RIGHT_MARKER, _Z, "acc", (_Z,), "sqrt(1/2)"),
         (ab.scan, RIGHT_MARKER, _Z, "rx", (_Z,), "sqrt(1/2)"),
         (ac.scan, RIGHT_MARKER, _Z, "acc", (_Z,), "sqrt(1/2)"),
@@ -405,20 +371,9 @@ def l5_qpa() -> ZooEntry:
         ("acc", RIGHT_MARKER, _Z, ab.accept, (_Z,), "1"),
         ("rx", RIGHT_MARKER, _Z, ac.accept, (_Z,), "1"),
     ]
-    directions = {**ab.directions, **ac.directions,
-                  "q0": _ADV, "u1": _STAY, "u2": _STAY,
-                  "uacc": _STAY, "acc": _STAY, "rx": _STAY}
-    spec = _spec_from_rows(
-        name="l5",
-        sigma=("a", "b", "c"),
-        states=(*ab.states, *ac.states, *frame),
-        q0="q0",
-        q_accept=("uacc", "acc"),
-        q_reject=("rx", ab.reject, ac.reject),
-        kind=KIND_SIMPLIFIED,
-        directions=directions,
-        rows=rows,
-    )
+    spec = _split_machine("l5", ab, ac, "uacc", split, frame=("q0", "u1", "u2", "uacc", "acc", "rx"),
+                          q_accept=("uacc", "acc"), q_reject=("rx", ab.reject, ac.reject),
+                          end_rows=rotation)
     oracle = lambda w: (w.count("a") == w.count("b")) != (w.count("a") == w.count("c"))
     return ZooEntry(
         name="l5",
@@ -438,25 +393,12 @@ def nonunitary_example() -> QpaSpec:
     of the evolution matrix have norm 0 and the row-norm condition fails
     with residual 1 while every other condition holds.
     """
-    delta = {}
-    literals = {}
-    for sym in (LEFT_MARKER, "1", RIGHT_MARKER):
-        for tau, omega in ((_Z, (_Z, "1")), ("1", ("1", "1"))):
-            key = TransitionKey(q1="q", sigma=sym, tau=tau, q="q", d=_ADV, omega=omega)
-            delta[key] = 1.0 + 0.0j
-            literals[key] = "1"
-    return QpaSpec(
-        alphabets=Alphabets(sigma=frozenset({"1"}), t=frozenset({"1"})),
-        states=frozenset({"q"}),
-        q0="q",
-        q_accept=frozenset(),
-        q_reject=frozenset(),
-        delta=delta,
-        kind=KIND_GENERAL,
-        direction_fn=None,
-        amp_literals=literals,
-        name="nonunitary",
-    )
+    rows = [("q", sym, tau, "q", omega, "1")
+            for sym in (LEFT_MARKER, "1", RIGHT_MARKER)
+            for tau, omega in ((_Z, (_Z, "1")), ("1", ("1", "1")))]
+    return _spec_from_rows(name="nonunitary", sigma=("1",), states=("q",), q0="q", q_accept=(),
+                           q_reject=(), kind=KIND_GENERAL, directions={"q": _ADV}, rows=rows,
+                           stack_syms=("1",))
 
 
 def entries() -> dict[str, ZooEntry]:

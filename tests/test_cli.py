@@ -407,17 +407,18 @@ class TestStepBudgetArgument:
 
     def test_trace_runs_recognition_once(self, files, capsys, monkeypatch):
         import qpakit.evolve as evolve
-        loops = []
-        original = evolve._steps
+        calls = []
+        original = evolve.apply_evolution
 
         def counted(*args, **kwargs):
-            loops.append(args[1])
+            calls.append(args[1].symbols)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(evolve, "_steps", counted)
+        # aabb on l2 takes 6 steps; a second recognition would make it 12
+        monkeypatch.setattr(evolve, "apply_evolution", counted)
         assert main(["run", files["l2"], "aabb", "--trace", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert loops == ["aabb"]
+        assert calls == [("#", "a", "a", "b", "b", "$")] * 6
         assert doc["steps"] == len(doc["trace"]) == 6
 
     def test_trace_with_zero_steps(self, files, capsys):
@@ -502,6 +503,19 @@ class TestErrorBoundary:
         assert main(["batch", bad["l2"], bad["words"], "--csv-out", bad[dst]]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: [Errno ") and err.count("\n") == 1 and bad[dst] in err, err
+
+    def test_base_pushed_above_the_base(self, tmp_path, capsys):
+        doc = {"kind": "general", "states": ["q"], "input_alphabet": ["a"], "stack_alphabet": [],
+               "initial": "q", "accepting": [], "rejecting": [],
+               "transitions": [{"from": "q", "input": "a", "stack_top": "Z0", "to": "q",
+                                "dir": "advance", "push": "Z0Z0", "amp": "1"}]}
+        path = tmp_path / "above.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["check", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: 1 structure violation(s): ") and captured.err.count("\n") == 1
+        assert "Z0 pushed above the bottom" in captured.err
 
     def test_long_bad_word_gives_a_bounded_message(self, files, tmp_path, capsys):
         words = tmp_path / "long.words"

@@ -65,6 +65,13 @@ class TestCompileStructure:
         with pytest.raises((QpaError, StructureError)):
             compile_dfa(dfa)
 
+    def test_empty_dfa_fails_validation(self):
+        dfa = DfaSpec(states=frozenset(), sigma=frozenset({"0"}),
+                      q0="s0", finals=frozenset(), trans={})
+        with pytest.raises(StructureError) as info:
+            compile_dfa(dfa)
+        assert [v.code for v in info.value.violations] == ["dfa-initial-unknown"]
+
     def test_primed_name_collision_rejected(self):
         dfa = DfaSpec(
             states=frozenset({"s", "s'"}), sigma=frozenset({"0"}),

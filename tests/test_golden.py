@@ -130,6 +130,16 @@ def write_golden() -> None:
     OUTPUTS.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
 
 
+def test_exports_match_the_golden_inputs():
+    """``qpa_dumps`` of every zoo fixture and of the compiled ``DFA`` is its golden input, byte for byte."""
+    from qpakit import io as qio, zoo
+    from qpakit.dfa2rpa import compile_dfa
+
+    specs = {**zoo.fixture_specs(), "dfa": compile_dfa(qio.dfa_from_dict(DFA))}
+    for name, spec in specs.items():
+        assert qio.qpa_dumps(spec).encode() == (GOLDEN / f"{name}.json").read_bytes(), name
+
+
 def test_golden_outputs(monkeypatch, capsys):
     from qpakit.cli import main
 

@@ -104,6 +104,23 @@ class TestDocumentValidation:
         with pytest.raises(ParseError):
             qpa_from_dict(doc)
 
+    @pytest.mark.parametrize("field", ["input_alphabet", "stack_alphabet"])
+    def test_empty_symbol_rejected(self, field):
+        doc = self._minimal()
+        doc[field] = ["", *doc[field]]
+        with pytest.raises(ParseError, match="empty symbol"):
+            qpa_from_dict(doc)
+
+    def test_base_pushed_above_the_base(self):
+        doc = self._minimal()
+        doc["transitions"] = [{
+            "from": "q", "input": "a", "stack_top": "Z0", "to": "q",
+            "dir": "advance", "push": "Z0Z0", "amp": "1",
+        }]
+        with pytest.raises(StructureError) as info:
+            qpa_from_dict(doc)
+        assert [v.code for v in info.value.violations] == ["base-pushed-above"]
+
     def test_structure_violations_raise(self):
         doc = self._minimal()
         doc["transitions"] = [{

@@ -6,7 +6,9 @@ import pytest
 from qpakit import zoo
 from qpakit.model import (
     Alphabets,
+    DfaSpec,
     KIND_REVERSIBLE,
+    StructureError,
     SymbolError,
     format_amplitude,
     parse_amplitude,
@@ -217,6 +219,55 @@ class TestValidateStructure:
         violations = validate_structure(spec)
         assert [v.code for v in violations] == ["direction-unknown"]
         assert "['ghost']" in violations[0].message
+
+
+class TestUnreachedViolations:
+    """Each branch below gives exactly its own violation code."""
+
+    @staticmethod
+    def codes(**changes):
+        args = dict(sigma={"a"}, t={"1"}, states={"q"}, q0="q", q_acc=(), q_rej=(),
+                    entries=[("q", "a", "1", "q", ADV, ("1",), 1.0)])
+        return [v.code for v in validate_structure(make_spec(**{**args, **changes}))]
+
+    def test_unknown_kind(self):
+        assert self.codes(kind="quantum", directions={"q": ADV}) == ["kind-unknown"]
+
+    def test_undeclared_halting_states(self):
+        assert self.codes(q_acc=("acc",), q_rej=("rej",)) == ["accepting-unknown", "rejecting-unknown"]
+
+    def test_simplified_needs_a_direction_function(self):
+        assert self.codes(kind="simplified") == ["direction-missing"]
+
+    def test_undeclared_push_symbol(self):
+        assert self.codes(entries=[("q", "a", "1", "q", ADV, ("9",), 1.0)]) == ["push-symbol-unknown"]
+
+    def test_base_pushed_above_the_base(self):
+        assert self.codes(entries=[("q", "a", "Z0", "q", ADV, ("Z0", "Z0"), 1.0)]) == ["base-pushed-above"]
+
+
+class TestDfaValidate:
+    @staticmethod
+    def codes(**changes):
+        args = dict(states=frozenset({"s0"}), sigma=frozenset({"0"}), q0="s0",
+                    finals=frozenset(), trans={("s0", "0"): "s0"})
+        with pytest.raises(StructureError) as info:
+            DfaSpec(**{**args, **changes}).validate()
+        return [v.code for v in info.value.violations]
+
+    def test_undeclared_target(self):
+        assert self.codes(trans={("s0", "0"): "s9"}) == ["dfa-target-unknown"]
+
+    def test_undeclared_source_or_symbol(self):
+        trans = {("s0", "0"): "s0", ("s9", "0"): "s0", ("s0", "x"): "s0"}
+        assert self.codes(trans=trans) == ["dfa-key-unknown", "dfa-key-unknown"]
+
+    def test_undeclared_final(self):
+        assert self.codes(finals=frozenset({"s9"})) == ["dfa-final-unknown"]
+
+    def test_total_dfa_passes(self):
+        DfaSpec(states=frozenset({"s0"}), sigma=frozenset({"0"}), q0="s0",
+                finals=frozenset({"s0"}), trans={("s0", "0"): "s0"}).validate()
 
 
 class TestAlphabets:

@@ -70,8 +70,8 @@ class _LazyModule(types.ModuleType):
         return getattr(self, name)
 
 
-# Only the matrix lab needs numpy and scipy. It is in sys.modules from here
-# on, but its code runs, and loads them, on first use of one of its names.
+# Only the matrix lab needs numpy. It is in sys.modules from here on, but
+# its code runs, and loads numpy, on first use of one of its names.
 matrixlab = importlib.util.module_from_spec(importlib.util.find_spec(".matrixlab", __name__))
 matrixlab.__class__ = _LazyModule
 sys.modules[matrixlab.__name__] = matrixlab

@@ -40,12 +40,10 @@ from functools import cached_property
 from itertools import product
 
 import numpy as np
-import scipy.sparse as sp
 
 from .evolve import Configuration, TapeContext, _Run, step_targets
 from .model import Direction, STACK_BASE, QpaError, QpaSpec
 
-GRAM_DENSE_LIMIT = 160     # dimension from which the Gram checks go sparse
 WINDOW_CAP = 10 ** 6
 DEFAULT_MATRIX_TOL = 1e-8
 TEXT_MAX_DIM = 24          # largest dimension matrix_to_text prints as a grid
@@ -89,7 +87,7 @@ class ConfigWindow:
 
 @dataclass(frozen=True)
 class TruncatedMatrix:
-    """Sparse complex matrix with explicit interior index sets."""
+    """Sparse complex matrix, one entry per position, with explicit interior index sets."""
 
     dim: int
     rows: np.ndarray
@@ -98,7 +96,8 @@ class TruncatedMatrix:
     interior_cols: frozenset[int]
     interior_rows: frozenset[int]
 
-    def to_sparse(self) -> sp.csc_matrix:
+    def to_sparse(self) -> "scipy.sparse.csc_matrix":
+        import scipy.sparse as sp
         return sp.csc_matrix(
             (self.vals, (self.rows, self.cols)), shape=(self.dim, self.dim))
 
@@ -237,20 +236,38 @@ def build_matrix(spec: QpaSpec, window: ConfigWindow) -> TruncatedMatrix:
 # --- unitarity checks ---------------------------------------------------------
 
 
-def _col_gram_deviation(matrix: TruncatedMatrix) -> float:
-    """max |G - I| over the Gram matrix G of the interior columns, NaN if any entry is.
+def _gram(shared: np.ndarray, paired: np.ndarray, vals: np.ndarray, interior: frozenset[int],
+          dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gram terms G[i, j] = sum over s of conj(M[s, i]) M[s, j] for i, j in ``interior``.
 
-    Dense below ``GRAM_DENSE_LIMIT``, sparse from there on; both give the
-    same number.
+    Entry k of M sits at (``shared[k]``, ``paired[k]``).  Returns G's diagonal
+    over ``interior`` and its terms i < j that share an s, each summed in
+    ascending s; every other term is zero.  No dim x dim array is built.
     """
-    interior = sorted(matrix.interior_cols)
-    if not interior:
-        return 0.0
-    if matrix.dim < GRAM_DENSE_LIMIT:
-        sub, eye = matrix.to_dense()[:, interior], np.eye(len(interior))
-    else:
-        sub, eye = matrix.to_sparse()[:, interior], sp.identity(len(interior))
-    return float(abs(sub.conj().T @ sub - eye).max())
+    inside = np.zeros(dim, dtype=bool)
+    inside[np.fromiter(interior, dtype=np.int64, count=len(interior))] = True
+    keep = inside[paired]
+    order = np.lexsort((paired[keep], shared[keep]))
+    s, p, v = shared[keep][order], paired[keep][order], vals[keep][order]
+    diag = np.zeros(dim, dtype=complex)
+    np.add.at(diag, p, v.conj() * v)
+    # entry x pairs with the n[x] entries after it on its shared index, in order
+    n = np.searchsorted(s, s, side="right") - np.arange(len(s)) - 1
+    i = np.repeat(np.arange(len(s)), n)
+    j = np.arange(len(i)) - np.repeat(np.cumsum(n) - n, n) + i + 1
+    pairs, slot = np.unique(p[i] * dim + p[j], return_inverse=True)
+    off = np.zeros(len(pairs), dtype=complex)
+    np.add.at(off, slot, v[i].conj() * v[j])
+    return diag[inside], off
+
+
+def _col_gram_deviation(matrix: TruncatedMatrix) -> float:
+    """max |G - I| over the Gram matrix G of the interior columns, NaN if any term is.
+
+    One pass over the entries: see ``_gram``.
+    """
+    diag, off = _gram(matrix.rows, matrix.cols, matrix.vals, matrix.interior_cols, matrix.dim)
+    return float(np.abs(np.concatenate((diag - 1.0, off))).max(initial=0.0))
 
 
 def _interior_row_norms_squared(matrix: TruncatedMatrix) -> np.ndarray:
@@ -299,14 +316,10 @@ def interior_row_norms(matrix: TruncatedMatrix) -> np.ndarray:
 
 
 def rows_pairwise_orthogonal_deviation(matrix: TruncatedMatrix) -> float:
-    """Max |inner product| over distinct interior row pairs."""
-    interior = sorted(matrix.interior_rows)
-    if len(interior) < 2:
-        return 0.0
-    dense = matrix.to_dense()[interior, :]
-    gram = dense @ dense.conj().T
-    np.fill_diagonal(gram, 0.0)
-    return float(np.abs(gram).max())
+    """Max |inner product| over distinct interior row pairs, NaN if an interior row holds NaN."""
+    diag, off = _gram(matrix.cols, matrix.rows, matrix.vals, matrix.interior_rows, matrix.dim)
+    # 0 * diag is 0, or NaN for a row that holds one
+    return float(np.abs(np.concatenate((0.0 * diag, off))).max(initial=0.0))
 
 
 # --- fixtures and probes --------------------------------------------------------

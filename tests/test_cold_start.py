@@ -1,4 +1,4 @@
-"""Cold start: numpy and scipy load only with the matrix lab."""
+"""Cold start: numpy loads only with the matrix lab, and scipy only with its sparse probes."""
 import json
 import os
 import subprocess
@@ -75,7 +75,7 @@ def test_matrix_loads_numpy_and_still_verifies(workdir):
     code, heavy, stdout = _run_fresh(workdir, "matrix", "l2.json", "--word", "ab", "--radius", "2",
                                      "--verify", "--json")
     assert code == 0
-    assert heavy == ["numpy", "scipy"]
+    assert heavy == ["numpy"]
     assert json.loads(stdout)["verify"]["passed"] is True
 
 
@@ -97,7 +97,23 @@ class TestLazyNames:
                 "import qpakit.matrixlab\n"
                 "assert 'numpy' not in sys.modules\n"
                 "assert qpakit.build_matrix is sys.modules['qpakit.matrixlab'].build_matrix\n"
-                "assert 'numpy' in sys.modules and 'scipy' in sys.modules\n")
+                "assert 'numpy' in sys.modules and 'scipy' not in sys.modules\n")
+
+    def test_only_the_sparse_probe_loads_scipy(self):
+        _python("import sys\n"
+                "from qpakit import zoo\n"
+                "from qpakit.matrixlab import (banded_associativity_probe, build_matrix,\n"
+                "    check_truncated_unitarity, enumerate_window, row_norm_bound_probe,\n"
+                "    rows_pairwise_orthogonal_deviation, shift_fixture)\n"
+                "spec = zoo.fixture_specs()['l5']\n"
+                "m = build_matrix(spec, enumerate_window(spec, 'abc', 2))\n"
+                "assert check_truncated_unitarity(m).passed\n"
+                "assert abs(row_norm_bound_probe(m) - 1.0) < 1e-9\n"
+                "assert rows_pairwise_orthogonal_deviation(m) < 1e-9\n"
+                "assert 'numpy' in sys.modules and 'scipy' not in sys.modules\n"
+                "s = shift_fixture(50)\n"
+                "assert banded_associativity_probe(s, s, s) < 1e-12\n"
+                "assert 'scipy' in sys.modules\n")
 
     def test_concurrent_first_use(self):
         # every thread must see the fully loaded module, however the first uses interleave

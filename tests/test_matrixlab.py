@@ -8,10 +8,10 @@ from qpakit import zoo
 from qpakit.dfa2rpa import compile_dfa
 from qpakit.evolve import Configuration, apply_evolution, initial_superposition
 from qpakit.matrixlab import (
-    GRAM_DENSE_LIMIT,
     WINDOW_CAP,
     WindowCapError,
     _col_gram_deviation,
+    _gram,
     _matrix_from_triplets,
     banded_associativity_probe,
     build_matrix,
@@ -28,7 +28,7 @@ from qpakit.matrixlab import (
 )
 from qpakit.model import Direction, QpaError, STACK_BASE
 
-from conftest import random_total_dfa
+from conftest import random_total_dfa, words_up_to
 
 Z = STACK_BASE
 
@@ -135,13 +135,12 @@ class TestTruncatedUnitarity:
         spec = zoo.l2_rpa().spec
         w = enumerate_window(spec, "ab", 4)
         m = build_matrix(spec, w)
-        assert m.dim >= GRAM_DENSE_LIMIT
         sub = m.to_dense()[:, sorted(m.interior_cols)]
         dense = float(abs(sub.conj().T @ sub - np.eye(sub.shape[1])).max())
         assert _col_gram_deviation(m) == dense
         assert check_truncated_unitarity(m).col_deviation == dense
 
-    @pytest.mark.parametrize("dim", [2, GRAM_DENSE_LIMIT])
+    @pytest.mark.parametrize("dim", [2, 160])
     def test_nan_column_is_reported_on_both_sides_of_the_cut(self, dim):
         m = _matrix_from_triplets(dim, range(dim), range(dim), [math.nan] + [1.0] * (dim - 1),
                                   range(dim), range(dim))
@@ -150,6 +149,104 @@ class TestTruncatedUnitarity:
         assert math.isnan(rep.col_deviation) and not rep.passed
         with pytest.raises(QpaError):
             row_norm_bound_probe(m)
+
+
+def _dense_gram_deviation(m, chunk=64):
+    """``float(abs(sub^H sub - I).max())`` for ``sub`` the interior columns, in dense blocks.
+
+    A block B of interior columns meets only the rows R holding its
+    entries, and R only the interior columns C holding an entry there, so
+    every entry of ``sub^H sub[:, B]`` outside ``sub[R, C]^H sub[R, B]`` is an
+    exact zero.  Windows of ten thousand configurations fit in memory.
+    """
+    interior = np.array(sorted(m.interior_cols), dtype=np.int64)
+    inside = np.isin(m.cols, interior)
+    rows, cols, vals = m.rows[inside], m.cols[inside], m.vals[inside]
+    worst = [0.0]
+    for start in range(0, len(interior), chunk):
+        block = interior[start:start + chunk]
+        shared = np.isin(rows, rows[np.isin(cols, block)])
+        r, c = np.unique(rows[shared]), np.union1d(cols[shared], block)
+        sub = np.zeros((len(r), len(c)), dtype=complex)
+        sub[np.searchsorted(r, rows[shared]), np.searchsorted(c, cols[shared])] = vals[shared]
+        gram = sub.conj().T @ sub[:, np.searchsorted(c, block)]
+        worst.append(abs(gram - (c[:, None] == block)).max())
+    return float(np.max(worst))
+
+
+def _dense_row_deviation(m):
+    interior = sorted(m.interior_rows)
+    dense = m.to_dense()[interior, :]
+    gram = dense @ dense.conj().T
+    np.fill_diagonal(gram, 0.0)
+    return float(np.abs(gram).max(initial=0.0))
+
+
+def _criterion_2_windows():
+    for name in ("l1", "l2"):
+        spec = zoo.entries()[name].spec
+        for word in words_up_to("".join(sorted(spec.alphabets.sigma)), 3):
+            for radius in range(6):
+                yield spec, word, radius
+    for name in ("l3", "l5"):
+        for i, word in enumerate(words_up_to("abc", 3)):
+            yield zoo.entries()[name].spec, word, i % 6
+    for word in words_up_to("1", 3):
+        for radius in range(6):
+            yield zoo.nonunitary_example(), word, radius
+
+
+def _fixture_windows():
+    rng = np.random.default_rng(14)
+    specs = [*zoo.fixture_specs().values(), *(compile_dfa(random_total_dfa(n, "01", rng)) for n in (2, 3))]
+    for spec in specs:
+        word = "".join(sorted(spec.alphabets.sigma))[:2]
+        for radius in range(4):
+            yield spec, word, radius
+
+
+class TestGramPass:
+    """The one pass over the entries against the dense product it replaces."""
+
+    def test_windows_equal_the_dense_product(self):
+        windows = [*_criterion_2_windows(), *_fixture_windows()]
+        assert len(windows) == 284 + 4 * (len(zoo.fixture_specs()) + 2)
+        for spec, word, radius in windows:
+            m = build_matrix(spec, enumerate_window(spec, word, radius))
+            assert _col_gram_deviation(m) == _dense_gram_deviation(m), (spec.name, word, radius)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_complex_fixtures_agree_with_the_dense_product(self, seed):
+        for m in (random_banded_matrix(48, 4, seed), random_banded_isometry(48, 40, 4, seed)):
+            assert _col_gram_deviation(m) == pytest.approx(_dense_gram_deviation(m), rel=0, abs=1e-13)
+
+    def test_shared_row_fails_on_the_off_diagonal_alone(self):
+        m = _matrix_from_triplets(3, [1, 1], [0, 2], [1.0, 1.0], {0, 2}, range(3))
+        diag, off = _gram(m.rows, m.cols, m.vals, m.interior_cols, m.dim)
+        assert list(diag) == [1.0, 1.0]
+        assert _col_gram_deviation(m) == 1.0
+
+    def test_empty_interior_column_deviates_by_one(self):
+        m = _matrix_from_triplets(3, [0], [0], [1.0], {0, 1}, range(3))
+        assert _col_gram_deviation(m) == 1.0
+
+    def test_empty_interior_deviates_by_nothing(self):
+        m = _matrix_from_triplets(3, [0, 1], [0, 1], [2.0, 3.0], (), range(3))
+        assert _col_gram_deviation(m) == 0.0
+
+    def test_nan_in_a_shared_row(self):
+        m = _matrix_from_triplets(3, [0, 1, 1], [0, 1, 2], [1.0, math.nan, 0.0], range(3), range(3))
+        assert math.isnan(_col_gram_deviation(m))
+
+    def test_rows_agree_with_the_dense_product(self):
+        for seed in range(40):
+            m = random_partial_permutation(48, 37, max_shift=4, seed=seed)
+            assert rows_pairwise_orthogonal_deviation(m) == _dense_row_deviation(m)
+            m = random_banded_isometry(48, 40, bandwidth=4, seed=seed)
+            assert rows_pairwise_orthogonal_deviation(m) == pytest.approx(
+                _dense_row_deviation(m), rel=0, abs=1e-15)
+        m = shift_fixture(64)
+        assert rows_pairwise_orthogonal_deviation(m) == pytest.approx(_dense_row_deviation(m), rel=0, abs=1e-15)
 
 
 class TestShiftFixture:

@@ -97,13 +97,12 @@ class _Table:
         self.ids = ids = spec.compiled()
         self.qbits = (len(ids.states) - 1).bit_length()
         self.sym_bits = len(ids.syms).bit_length()
-        self.tape_id = {s: i for s, i in ids.tape_id.items() if s in spec.alphabets.gamma}
-        base = ids.sym_id[STACK_BASE]
+        self.tape_id = {s: i for s, i in ids.tape_id.items() if ids.tape_ok[i]}
         self.rows = [[None] * (1 << self.qbits) for _ in ids.tapes]
         for (q1, sigma, tau), group in ids.sources.items():
             if self.rows[sigma][q1] is None:
                 self.rows[sigma][q1] = {}
-            self.rows[sigma][q1][tau] = tuple(self._entry(tau, base, *e[3:7]) for e in group)
+            self.rows[sigma][q1][tau] = tuple(self._entry(tau, ids.base, *e[3:7]) for e in group)
 
     def _entry(self, tau, base, q, d, omega, amp):
         keeps = bool(omega) and omega[0] == tau

@@ -90,7 +90,7 @@ def tokenize_word(alphabets: Alphabets, word: str) -> tuple[str, ...]:
     n = len(word)
     # cut[i]: length of the symbol taken at i, 0 if word[i:] has no split;
     # the zeros past n stand for positions beyond the end of the word
-    cut = [0] * n + [-1] + [0] * lengths[0]
+    cut = [0] * n + [-1] + [0] * max(lengths, default=0)
     for i in range(n - 1, -1, -1):
         for k in lengths:
             if cut[i + k] and word[i:i + k] in sigma:

@@ -21,17 +21,19 @@ interior indices, where truncation cannot fake or hide a deviation:
   (advance), the stack ends with its push word and the base rule
   holds, so the test is exact.
 
-Window stacks are interned once each, by one push from the parent on a
-run's stack trie.  A window holds only its layout (sorted states, the
-tape's heads, the stacks); its ``configs`` and ``index`` views are built
-on first access, and nothing on the way to the matrix and its check
-reads them.  Documentation elsewhere labels rows and columns
+The lab reads a spec's transitions only through its compiled table: its
+declared ids, run rows (the columns) and entries (the interior rows).  Window
+stacks are interned once each, by one push from the parent on a run's
+stack trie.  A window holds only its layout (sorted states, the tape's
+heads, the stacks); its ``configs`` and ``index`` views are built on
+first access, and nothing on the way to the matrix and its check reads
+them.  Documentation elsewhere labels rows and columns
 1-based; all indices in this module are 0-based.
 
 The module also ships the standalone fixtures used to probe the banded
 matrix facts: a shifted column-isometry whose truncations satisfy
 ``U*U = I`` while ``UU*`` does not, seeded random banded isometries, and
-an associativity probe for banded triples.
+an associativity probe for banded triples, on their dense arrays.
 """
 from __future__ import annotations
 
@@ -42,7 +44,7 @@ from itertools import product
 import numpy as np
 
 from .evolve import Configuration, TapeContext, _Run, step_targets
-from .model import Direction, STACK_BASE, QpaError, QpaSpec
+from .model import ADVANCE_ID, STAY_ID, QpaError, QpaSpec
 
 WINDOW_CAP = 10 ** 6
 DEFAULT_MATRIX_TOL = 1e-8
@@ -87,7 +89,7 @@ class ConfigWindow:
 
 @dataclass(frozen=True)
 class TruncatedMatrix:
-    """Sparse complex matrix, one entry per position, with explicit interior index sets."""
+    """Sparse complex matrix, one entry per position (else ``ValueError``), with interior index sets."""
 
     dim: int
     rows: np.ndarray
@@ -96,10 +98,12 @@ class TruncatedMatrix:
     interior_cols: frozenset[int]
     interior_rows: frozenset[int]
 
-    def to_sparse(self) -> "scipy.sparse.csc_matrix":
-        import scipy.sparse as sp
-        return sp.csc_matrix(
-            (self.vals, (self.rows, self.cols)), shape=(self.dim, self.dim))
+    def __post_init__(self):
+        at = np.multiply(self.rows, self.dim)
+        at += self.cols
+        at.sort(kind="stable")     # loads no sort code beyond what the Gram pass loads
+        if (at[1:] == at[:-1]).any():
+            raise ValueError("two entries at one position")
 
     def to_dense(self) -> np.ndarray:
         m = np.zeros((self.dim, self.dim), dtype=complex)
@@ -167,15 +171,16 @@ def enumerate_window(spec: QpaSpec, word: str, radius: int, cap: int = WINDOW_CA
     # order): one push interns each stack, and configurations come out sorted.
     run = _Run(spec, tape)
     ids = run.table.ids
-    children = sorted((ids.sym_id[s] for s in spec.alphabets.t), reverse=True)
+    base = ids.base
+    children = [y for y in reversed(range(len(ids.syms))) if ids.sym_ok[y] and y != base]
     stacks = []
-    todo = [(run.push(0, ids.sym_id[STACK_BASE]), (STACK_BASE,))]
+    todo = [(run.push(0, base), (ids.syms[base],))]
     while todo:
         sid, stack = todo.pop()
         stacks.append((sid, stack))
         if len(stack) < stack_limit:
             todo += [(run.push(sid, c), stack + (ids.syms[c],)) for c in children]
-    states, heads = sorted(spec.states), range(len(tape))
+    states, heads = [q for q, ok in zip(ids.states, ids.state_ok) if ok], range(len(tape))
     # configuration b * len(stacks) + j is block b = (state, head) on stack j
     blocks = [(h << run.qbits) | ids.state_id[q] for q in states for h in heads]
     keys = [hq | (sid << run.hshift) for hq in blocks for sid, _ in stacks]
@@ -196,18 +201,20 @@ def enumerate_window(spec: QpaSpec, word: str, radius: int, cap: int = WINDOW_CA
         if inside:
             interior_cols.append(c_idx)
 
-    # The entries whose source can lie outside the window (module docstring)
+    # The entries whose source can lie outside the window (module docstring), by (q, sigma, d) ids
     deeper, outside = set(), {}
-    for k in spec.delta:
-        if k.q1 not in spec.states or k.tau not in spec.alphabets.delta_alpha:
-            outside.setdefault((k.q, k.sigma, k.d), []).append((k.omega, k.tau == STACK_BASE))
-        elif k.tau != STACK_BASE and not k.omega:
-            deeper.add((k.q, k.sigma, k.d))
+    for q1, sigma, tau, q, d, omega, _, _ in ids.entries:
+        if not (ids.state_ok[q1] and ids.sym_ok[tau]):
+            outside.setdefault((q, sigma, d), []).append((tuple(ids.syms[y] for y in omega), tau == base))
+        elif tau != base and not omega:
+            deeper.add((q, sigma, d))
+    tape_ids = [ids.tape_id[c] for c in tape.symbols]
     interior_rows = []
-    for b, (q, h) in enumerate(product(states, heads)):
+    for b, (name, h) in enumerate(product(states, heads)):
         if not h:
             continue
-        cells = ((q, tape.symbols[h], Direction.STAY), (q, tape.symbols[h - 1], Direction.ADVANCE))
+        q = ids.state_id[name]
+        cells = ((q, tape_ids[h], STAY_ID), (q, tape_ids[h - 1], ADVANCE_ID))
         full = any(cell in deeper for cell in cells)
         foreign = [e for cell in cells for e in outside.get(cell, ())]
         block = range(b * len(stacks), (b + 1) * len(stacks))
@@ -346,9 +353,8 @@ def banded_associativity_probe(a: TruncatedMatrix, b: TruncatedMatrix,
     """Max entrywise deviation between (AB)C and A(BC)."""
     if not (a.dim == b.dim == c.dim):
         raise ValueError("dimension mismatch")
-    am, bm, cm = a.to_sparse(), b.to_sparse(), c.to_sparse()
-    diff = ((am @ bm) @ cm - am @ (bm @ cm)).tocoo()
-    return float(np.abs(diff.data).max()) if diff.nnz else 0.0
+    am, bm, cm = a.to_dense(), b.to_dense(), c.to_dense()
+    return float(np.abs((am @ bm) @ cm - am @ (bm @ cm)).max(initial=0.0))
 
 
 def random_banded_matrix(n: int, bandwidth: int, seed: int) -> TruncatedMatrix:

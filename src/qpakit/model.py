@@ -13,9 +13,10 @@ be declared by users.
 
 Every layer reads a spec through one ``CompiledTable``, built on first use
 and cached on the spec: names numbered in sorted order (``advance`` before
-``stay``), entries sorted once, and grouped by source on first use.
-``sorted_keys`` and ``validate_structure`` read it, as do the condition
-suite and the run loop.
+``stay``), the flags ``state_ok``, ``tape_ok`` and ``sym_ok`` that say which
+ids are declared, the base symbol's id ``base``, entries sorted once, and
+grouped by source on first use.  ``sorted_keys`` and ``validate_structure``
+read it, as do the condition suite, the run loop and the matrix lab.
 """
 from __future__ import annotations
 
@@ -181,20 +182,26 @@ class CompiledTable:
 
     An id is a place in ``states``, ``tapes`` or ``syms``: sorted lists of
     the declared names, the initial state and any undeclared name an entry
-    uses.  ``entries`` are ``(q1, sigma, tau, q, d, omega, amp, key)``, ids
-    for names, ``d`` a place in ``DIRECTIONS``, in ``TransitionKey`` order;
+    uses.  ``state_ok``, ``tape_ok`` and ``sym_ok`` flag the declared ids
+    (markers and base included), ``base`` is the base symbol's id.
+    ``entries`` are ``(q1, sigma, tau, q, d, omega, amp, key)``, ids for
+    names, ``d`` a place in ``DIRECTIONS``, in ``TransitionKey`` order;
     ``sources`` groups them as ``{(q1, sigma, tau): entries}``.
     """
 
     def __init__(self, spec: QpaSpec):
-        delta = spec.delta
+        delta, al = spec.delta, spec.alphabets
         omegas = {k.omega for k in delta}
         self.states = sorted(spec.states | {spec.q0} | {k.q1 for k in delta} | {k.q for k in delta})
-        self.tapes = sorted(spec.alphabets.gamma | {k.sigma for k in delta})
-        self.syms = sorted(spec.alphabets.delta_alpha | {k.tau for k in delta} | {s for w in omegas for s in w})
+        self.tapes = sorted(al.gamma | {k.sigma for k in delta})
+        self.syms = sorted(al.delta_alpha | {k.tau for k in delta} | {s for w in omegas for s in w})
+        self.state_ok = [q in spec.states for q in self.states]
+        self.tape_ok = [s in al.gamma for s in self.tapes]
+        self.sym_ok = [s in al.delta_alpha for s in self.syms]
         sid = self.state_id = {q: i for i, q in enumerate(self.states)}
         tid = self.tape_id = {s: i for i, s in enumerate(self.tapes)}
         yid = self.sym_id = {s: i for i, s in enumerate(self.syms)}
+        self.base = yid[STACK_BASE]
         wid = {w: tuple(yid[s] for s in w) for w in omegas}
         self.entries = sorted(
             (sid[k.q1], tid[k.sigma], yid[k.tau], sid[k.q], _DIR_ID[k.d], wid[k.omega], amp, k)
@@ -251,7 +258,10 @@ def _parse_real(text: str) -> float:
         num, den = int(m.group(1)), int(m.group(2))
         if den == 0:
             raise ValueError(f"zero denominator in {text!r}")
-        return num / den
+        try:
+            return num / den
+        except OverflowError:
+            raise ValueError(f"fraction {text!r} overflows a double") from None
     m = _SQRT_RE.match(text)
     if m:
         inner = _parse_real(m.group(2))
@@ -303,7 +313,6 @@ def validate_structure(spec: QpaSpec, tol: float = AMPLITUDE_TOL) -> list[Struct
     about well-formedness, which is a property of the amplitudes).
     """
     out: list[StructureViolation] = []
-    al = spec.alphabets
 
     if spec.kind not in KINDS:
         out.append(StructureViolation("kind-unknown", f"unknown kind {spec.kind!r}"))
@@ -334,10 +343,7 @@ def validate_structure(spec: QpaSpec, tol: float = AMPLITUDE_TOL) -> list[Struct
 
     # the tests run on ids; the message context is formatted only for an entry that fails one
     table = spec.compiled()
-    state_ok = [q in spec.states for q in table.states]
-    tape_ok = [s in al.gamma for s in table.tapes]
-    sym_ok = [s in al.delta_alpha for s in table.syms]
-    base = table.sym_id[STACK_BASE]
+    state_ok, tape_ok, sym_ok, base = table.state_ok, table.tape_ok, table.sym_ok, table.base
     want = [None if dirs is None or spec.kind == KIND_GENERAL else dirs.get(q) for q in table.states]
     for q1, sigma, tau, q, _, omega, amp, key in table.entries:
         bad = []

@@ -150,25 +150,21 @@ class _Index:
 
     Only sources with entries are indexed, in table order.  Every indexed
     source is declared, and compiled ids follow sorted names, so id order
-    is the exhaustive loop's order.  ``declared[s]`` says whether stack id
-    ``s`` is a declared stack symbol.
+    is the exhaustive loop's order.  ``states``, ``gam`` and ``dl`` are the
+    declared state, tape and stack ids, ascending.
     """
 
     def __init__(self, spec: QpaSpec):
         self.table = table = spec.compiled()
-        al = spec.alphabets
-        self.states = sorted(spec.states)
-        self.gam = al.gamma_sorted()
-        self.dl = al.delta_sorted()
-        self.declared = [s in al.delta_alpha for s in table.syms]
+        self.states, self.gam, self.dl = ([i for i, ok in enumerate(flags) if ok]
+                                          for flags in (table.state_ok, table.tape_ok, table.sym_ok))
         self.sources: list[_Source] = []
         self.by_sigma: list[list[_Source]] = [[] for _ in table.tapes]
         self.adv_in: dict = {}    # (q, sigma) -> {omega: sum |amp|^2}
         self.stay_in: dict = {}   # (q, sigma) -> {omega: sum |amp|^2}
         for ids, group in table.sources.items():
             q1, sigma, tau = ids
-            if not (table.states[q1] in spec.states and table.tapes[sigma] in al.gamma
-                    and self.declared[tau]):
+            if not (table.state_ok[q1] and table.tape_ok[sigma] and table.sym_ok[tau]):
                 raise StructureError(validate_structure(spec))
             src = _Source(ids)
             self.sources.append(src)
@@ -282,9 +278,9 @@ def _shift_sums(srcs: list[_Source], declared: list, turns: list[dict]) -> list[
 def _scan_local_probability(t: _Index, col: _Collector) -> None:
     norms = {src.ids: sum(abs(a) ** 2 for a in src.full.values()) for src in t.sources}
     tab = t.table
-    ids = product([tab.state_id[q] for q in t.states], [tab.tape_id[s] for s in t.gam],
-                  [tab.sym_id[s] for s in t.dl])
-    for src, key in zip(product(t.states, t.gam, t.dl), ids):
+    names = product([tab.states[q] for q in t.states], [tab.tapes[s] for s in t.gam],
+                    [tab.syms[y] for y in t.dl])
+    for src, key in zip(names, product(t.states, t.gam, t.dl)):
         col.add(src, abs(norms.get(key, 0) - 1.0))
 
 
@@ -302,10 +298,9 @@ def _scan_row_norm(t: _Index, col: _Collector, simplified: bool = False) -> None
     summed once per (state, tape symbol) and the staying terms are added
     to it one by one, which is the order the row sum has always used.
     """
-    tape_id = t.table.tape_id
-    ids = t.table.sym_id
-    taus = [(tau1, tau2) for tau1 in t.dl for tau2 in t.dl]
-    pushes = [((), (ids[tau2],), (ids[tau1], ids[tau2])) for tau1, tau2 in taus]
+    states, tapes, syms = t.table.states, t.table.tapes, t.table.syms
+    taus = [(syms[tau1], syms[tau2]) for tau1 in t.dl for tau2 in t.dl]
+    pushes = [((), (tau2,), (tau1, tau2)) for tau1 in t.dl for tau2 in t.dl]
     zeros = [(0.0, 0.0, 0.0)] * len(taus)
 
     def terms(b: dict | None) -> list[tuple[float, float, float]]:
@@ -313,13 +308,12 @@ def _scan_row_norm(t: _Index, col: _Collector, simplified: bool = False) -> None
             return zeros
         return [(b.get(w0, 0.0), b.get(w1, 0.0), b.get(w2, 0.0)) for w0, w1, w2 in pushes]
 
-    for q1 in t.states:
-        q = t.table.state_id[q1]
-        stay = {s: terms(t.stay_in.get((q, tape_id[s]))) for s in t.gam}
+    for q in t.states:
+        stay = {s: terms(t.stay_in.get((q, s))) for s in t.gam}
         for s1 in t.gam:
-            adv = [a0 + a1 + a2 for a0, a1, a2 in terms(t.adv_in.get((q, tape_id[s1])))]
+            adv = [a0 + a1 + a2 for a0, a1, a2 in terms(t.adv_in.get((q, s1)))]
             for s2 in (s1,) if simplified else t.gam:
-                head = (q1, s1) if simplified else (q1, s1, s2)
+                head = (states[q], tapes[s1]) if simplified else (states[q], tapes[s1], tapes[s2])
                 for tt, a, (b0, b1, b2) in zip(taus, adv, stay[s2]):
                     r = abs(a + b0 + b1 + b2 - 1.0)
                     if r:
@@ -336,7 +330,7 @@ def _scan_sep_shared_sigma(t: _Index, col_a: _Collector, col_b: _Collector) -> N
     triple can realize on its own.
     """
     for srcs in t.by_sigma:
-        for col, part in zip((col_a, col_b), _shift_sums(srcs, t.declared, [_SAME])[0]):
+        for col, part in zip((col_a, col_b), _shift_sums(srcs, t.table.sym_ok, [_SAME])[0]):
             _feed(col, part, lambda i1, i2, t3: t.names(i1) + t.names(i2)[::2] + (t.table.syms[t3],))
 
 
@@ -351,7 +345,7 @@ def _scan_sep_mixed(t: _Index, col2: _Collector, col3a: _Collector, col3b: _Coll
               for want in (STAY_ID, ADVANCE_ID)]
     dots = _colliding_dots(*halves)
     _feed(col2, dots, lambda i, j: t.names(i) + t.names(j))
-    by_pair = _shift_sums(t.sources, t.declared, [{d1: d2} for d1, d2 in _MIXED])
+    by_pair = _shift_sums(t.sources, t.table.sym_ok, [{d1: d2} for d1, d2 in _MIXED])
     for part, col in enumerate((col3a, col3b)):
         sums = {key + (k,): v for k, pair in enumerate(by_pair) for key, v in pair[part].items()}
         _feed(col, sums, lambda i1, i2, t3, k:

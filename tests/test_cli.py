@@ -442,7 +442,10 @@ ERROR_COMMANDS = (
      for src in ("missing", "directory", "non_utf8", "deep")]
     + ["batch {l2} {missing}", "batch {l2} {directory}", "batch {l2} {non_utf8}"]
     + [t.replace("{dst}", "{%s}" % dst) for t in WRITES for dst in ("unwritable", "directory")]
-    + USAGE)
+    + USAGE
+    # a table with no input symbols, and an amplitude too large for a double
+    + ["run {no_sigma} a --force", "batch {no_sigma} {words} --force",
+       "matrix {no_sigma} --word a --radius 1", "check {overflow}"])
 
 
 @pytest.fixture(scope="module")
@@ -451,6 +454,13 @@ def bad(files, tmp_path_factory):
     (root / "non_utf8.json").write_bytes(b'\xff{"kind": "general"}')
     (root / "deep.json").write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
     (root / "words.txt").write_text("ab\n", encoding="utf-8")
+    doc = {"kind": "general", "states": ["q"], "input_alphabet": [], "stack_alphabet": [],
+           "initial": "q", "accepting": [], "rejecting": [], "transitions": []}
+    (root / "no_sigma.json").write_text(json.dumps(doc), encoding="utf-8")
+    doc["input_alphabet"] = ["a"]
+    doc["transitions"] = [{"from": "q", "input": "a", "stack_top": "Z0", "to": "q", "dir": "advance",
+                           "push": "Z0", "amp": "1%s/1" % ("0" * 400)}]
+    (root / "overflow.json").write_text(json.dumps(doc), encoding="utf-8")
     return {
         **files,
         "missing": str(root / "missing.json"),
@@ -460,6 +470,8 @@ def bad(files, tmp_path_factory):
         "unwritable": str(root / "no" / "such" / "dir" / "out.json"),
         "words": str(root / "words.txt"),
         "out": str(root / "out.json"),
+        "no_sigma": str(root / "no_sigma.json"),
+        "overflow": str(root / "overflow.json"),
     }
 
 

@@ -258,6 +258,12 @@ class TestWordSegmentation:
         with pytest.raises(SymbolError, match="position 0"):
             tokenize_word(al, "x")
 
+    def test_empty_alphabet(self):
+        al = Alphabets(sigma=frozenset(), t=frozenset())
+        assert tokenize_word(al, "") == ()
+        with pytest.raises(SymbolError, match="position 0"):
+            tokenize_word(al, "a")
+
     def test_equal_length_symbols(self):
         al = Alphabets(sigma=frozenset({"ab", "ba"}), t=frozenset())
         assert tokenize_word(al, "abba") == ("ab", "ba")

@@ -109,7 +109,7 @@ def random_tables(draw):
     entries = []
     for q1 in (*DECLARED, "u"):
         for sigma in ("#", "x", "$"):
-            for tau in (Z, "1", "2"):
+            for tau in (Z, "1", "2", "9"):
                 if tau == Z:
                     pushes = [(Z,), (Z, "1"), (Z, "2", "1"), (Z, "1", "2", "2")]
                     bad = [(), ("1",), (Z, Z)]

@@ -9,6 +9,7 @@ from qpakit.dfa2rpa import compile_dfa
 from qpakit.evolve import Configuration, apply_evolution, initial_superposition
 from qpakit.matrixlab import (
     WINDOW_CAP,
+    TruncatedMatrix,
     WindowCapError,
     _col_gram_deviation,
     _gram,
@@ -149,6 +150,16 @@ class TestTruncatedUnitarity:
         assert math.isnan(rep.col_deviation) and not rep.passed
         with pytest.raises(QpaError):
             row_norm_bound_probe(m)
+
+    @pytest.mark.parametrize("make", [TruncatedMatrix, _matrix_from_triplets])
+    def test_a_repeated_position_is_refused(self, make):
+        # the dense form adds the two entries to [[1]]; the row and Gram checks would see two halves
+        zeros, one = np.array([0, 0]), frozenset({0})
+        with pytest.raises(ValueError, match="two entries at one position"):
+            make(1, zeros, zeros, np.array([0.5, 0.5]), one, one)
+        both = frozenset({0, 1})
+        m = make(2, np.array([0, 1]), np.array([1, 0]), np.array([1.0, 1.0]), both, both)
+        assert check_truncated_unitarity(m).passed
 
 
 def _dense_gram_deviation(m, chunk=64):

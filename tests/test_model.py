@@ -38,7 +38,9 @@ class TestAmplitudeLiterals:
         assert parse_amplitude("(1/2,-1/2)") == complex(0.5, -0.5)
         assert parse_amplitude("(sqrt(1/2),0)") == complex(math.sqrt(0.5), 0.0)
 
-    @pytest.mark.parametrize("literal", ["", "sqrt()", "1/0", "(1,2,3)", "abc", "sqrt(-1)"])
+    @pytest.mark.parametrize("literal", ["", "sqrt()", "1/0", "(1,2,3)", "abc", "sqrt(-1)", *(
+        pytest.param(form % ("1" + "0" * 400), id=form.replace("%s", "1e400"))
+        for form in ("%s/1", "sqrt(%s/1)", "(0,-%s/3)"))])
     def test_malformed(self, literal):
         with pytest.raises(ValueError):
             parse_amplitude(literal)

@@ -22,7 +22,6 @@ import argparse
 import csv
 import errno
 import json
-import math
 import os
 import sys
 from contextlib import nullcontext
@@ -32,9 +31,9 @@ from . import matrixlab, zoo
 from .dfa2rpa import compile_dfa
 from .evolve import (_fold, check_max_steps, check_threshold, decide, next_above_half,
                      recognize, result_to_dict, trace_to_dict)
-from .io import load_dfa, load_qpa, save_qpa, qpa_dumps
-from .model import QpaError, validate_structure
-from .wellformed import DEFAULT_TOL, check_all, summary_to_dict
+from .io import load_dfa, load_qpa, read_text, save_qpa, qpa_dumps
+from .model import DEFAULT_TOL, QpaError, check_tolerance, validate_structure
+from .wellformed import check_all, summary_to_dict
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -99,8 +98,8 @@ MATRIX_SCHEMA = {
 }
 
 
-def _tolerance(flag: str | None, fallback: float) -> float:
-    """The ``--tolerance`` flag, else ``QPAKIT_TOLERANCE``, else the fallback.
+def _tolerance(flag: str | None) -> float:
+    """The ``--tolerance`` flag, else ``QPAKIT_TOLERANCE``, else ``DEFAULT_TOL``.
 
     Raises ValueError unless the value is a finite number >= 0.
     """
@@ -109,14 +108,11 @@ def _tolerance(flag: str | None, fallback: float) -> float:
     else:
         source, raw = "QPAKIT_TOLERANCE", os.environ.get("QPAKIT_TOLERANCE")
     if raw is None:
-        return fallback
+        return DEFAULT_TOL
     try:
-        value = float(raw)
+        return check_tolerance(float(raw))
     except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"{source} must be a finite number >= 0, got {raw!r}")
-    return value
+        raise ValueError(f"{source} must be a finite number >= 0, got {raw!r}") from None
 
 
 def _emit(doc, as_json: bool, human_lines) -> None:
@@ -135,7 +131,7 @@ def _want_json(args) -> bool:
 
 def cmd_check(args) -> int:
     spec = load_qpa(args.file)
-    tol = _tolerance(args.tolerance, DEFAULT_TOL)
+    tol = _tolerance(args.tolerance)
     summary = check_all(spec, tol=tol, suite="simplified" if args.simplified else None)
     doc = summary_to_dict(summary)
     lines = []
@@ -181,7 +177,7 @@ def cmd_batch(args) -> int:
     check_threshold(args.threshold)
     if args.csv_out:
         _check_output_path(args.csv_out)
-    words = Path(args.words).read_text(encoding="utf-8").splitlines()
+    words = read_text(args.words).splitlines()
     rows = []
     for word in words:
         result = recognize(spec, word, max_steps=args.max_steps, force=args.force)
@@ -202,7 +198,7 @@ def cmd_batch(args) -> int:
 
 
 def cmd_compile_dfa(args) -> int:
-    tol = _tolerance(args.tolerance, DEFAULT_TOL)
+    tol = _tolerance(args.tolerance)
     rpa = compile_dfa(load_dfa(args.infile))
     summary = check_all(rpa, tol=tol, suite="simplified")
     if not summary.passed:
@@ -225,7 +221,7 @@ def _check_output_path(path: str) -> None:
 
 def cmd_matrix(args) -> int:
     spec = load_qpa(args.file)
-    tol = _tolerance(args.tolerance, matrixlab.DEFAULT_MATRIX_TOL)
+    tol = _tolerance(args.tolerance)
     if args.dump and args.dump != "-":
         _check_output_path(args.dump)
     window = matrixlab.enumerate_window(spec, args.word, args.radius)

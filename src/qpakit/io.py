@@ -25,6 +25,7 @@ from .model import (
     TransitionKey,
     format_amplitude,
     parse_amplitude,
+    quote,
     validate_structure,
 )
 
@@ -40,7 +41,6 @@ _QPA_FIELDS = {
 _TRANSITION_FIELDS = {"from", "input", "stack_top", "to", "dir", "push", "amp"}
 _DFA_FIELDS = {"states", "alphabet", "initial", "finals", "transitions"}
 _DIRECTIONS = {d.value: d for d in Direction}
-_QUOTE_LIMIT = 80    # a longer word is quoted in an error by 24 characters around the fault
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -102,9 +102,7 @@ def tokenize_word(alphabets: Alphabets, word: str) -> tuple[str, ...]:
             if i in reached:
                 reached.update(i + k for k in lengths if word[i:i + k] in sigma)
         pos = max(reached)
-        quoted = (repr(word) if n <= _QUOTE_LIMIT
-                  else f"of {n} characters, near {word[max(0, pos - 12):pos + 12]!r},")
-        raise SymbolError(f"word {quoted} contains no declared symbol at position {pos}")
+        raise SymbolError(f"word {quote(word, pos)} contains no declared symbol at position {pos}")
     out: list[str] = []
     i = 0
     while i < n:
@@ -240,6 +238,14 @@ def qpa_dumps(spec: QpaSpec) -> str:
     return json.dumps(qpa_to_dict(spec), indent=2) + "\n"
 
 
+def read_text(path: str | Path) -> str:
+    """An input file's text: UTF-8, with a leading byte-order mark dropped (RFC 8259 allows one)."""
+    try:
+        return Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: invalid UTF-8 at byte {exc.start}") from None
+
+
 def _json_loads(text: str):
     """``json.loads``, with every way the text can fail to parse a ParseError."""
     try:
@@ -255,7 +261,7 @@ def qpa_loads(text: str, validate: bool = True) -> QpaSpec:
 
 
 def load_qpa(path: str | Path, validate: bool = True) -> QpaSpec:
-    return qpa_loads(Path(path).read_text(encoding="utf-8"), validate=validate)
+    return qpa_loads(read_text(path), validate=validate)
 
 
 def save_qpa(spec: QpaSpec, path: str | Path) -> None:
@@ -310,7 +316,7 @@ def dfa_to_dict(dfa: DfaSpec) -> dict:
 
 
 def load_dfa(path: str | Path) -> DfaSpec:
-    return dfa_from_dict(_json_loads(Path(path).read_text(encoding="utf-8")))
+    return dfa_from_dict(_json_loads(read_text(path)))
 
 
 def save_dfa(dfa: DfaSpec, path: str | Path) -> None:

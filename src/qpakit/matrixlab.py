@@ -27,7 +27,9 @@ stacks are interned once each, by one push from the parent on a run's
 stack trie.  A window holds only its layout (sorted states, the tape's
 heads, the stacks); its ``configs`` and ``index`` views are built on
 first access, and nothing on the way to the matrix and its check reads
-them.  Documentation elsewhere labels rows and columns
+them.  Deviations are judged against the condition suite's tolerance,
+``model.DEFAULT_TOL`` by default, so a table and its windows get one
+verdict.  Documentation elsewhere labels rows and columns
 1-based; all indices in this module are 0-based.
 
 The module also ships the standalone fixtures used to probe the banded
@@ -44,10 +46,9 @@ from itertools import product
 import numpy as np
 
 from .evolve import Configuration, TapeContext, _Run, step_targets
-from .model import ADVANCE_ID, STAY_ID, QpaError, QpaSpec
+from .model import ADVANCE_ID, DEFAULT_TOL, STAY_ID, QpaError, QpaSpec, check_tolerance
 
 WINDOW_CAP = 10 ** 6
-DEFAULT_MATRIX_TOL = 1e-8
 TEXT_MAX_DIM = 24          # largest dimension matrix_to_text prints as a grid
 
 
@@ -89,7 +90,10 @@ class ConfigWindow:
 
 @dataclass(frozen=True)
 class TruncatedMatrix:
-    """Sparse complex matrix, one entry per position (else ``ValueError``), with interior index sets."""
+    """Sparse complex matrix, one entry per position (else ``ValueError``), with interior index sets.
+
+    The constructor takes any sequences and keeps int64 and complex arrays and frozensets.
+    """
 
     dim: int
     rows: np.ndarray
@@ -99,6 +103,10 @@ class TruncatedMatrix:
     interior_rows: frozenset[int]
 
     def __post_init__(self):
+        for name, convert in (("rows", np.int64), ("cols", np.int64), ("vals", complex)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=convert))
+        for name in ("interior_cols", "interior_rows"):
+            object.__setattr__(self, name, frozenset(getattr(self, name)))
         at = np.multiply(self.rows, self.dim)
         at += self.cols
         at.sort(kind="stable")     # loads no sort code beyond what the Gram pass loads
@@ -127,17 +135,6 @@ class UnitarityReport:
     n_interior_rows: int
     tolerance: float
     passed: bool
-
-
-def _matrix_from_triplets(dim, rows, cols, vals, interior_cols, interior_rows) -> TruncatedMatrix:
-    return TruncatedMatrix(
-        dim=dim,
-        rows=np.asarray(rows, dtype=np.int64),
-        cols=np.asarray(cols, dtype=np.int64),
-        vals=np.asarray(vals, dtype=complex),
-        interior_cols=frozenset(interior_cols),
-        interior_rows=frozenset(interior_rows),
-    )
 
 
 # --- windows over configuration space ----------------------------------------
@@ -235,9 +232,7 @@ def build_matrix(spec: QpaSpec, window: ConfigWindow) -> TruncatedMatrix:
     """
     if window.spec is not spec:
         raise QpaError("the window was not enumerated for this automaton")
-    return _matrix_from_triplets(
-        len(window), *window.entries,
-        window.interior_cols, window.interior_rows)
+    return TruncatedMatrix(len(window), *window.entries, window.interior_cols, window.interior_rows)
 
 
 # --- unitarity checks ---------------------------------------------------------
@@ -288,9 +283,9 @@ def _row_deviation(matrix: TruncatedMatrix) -> float:
     return float(np.abs(norms2 - 1.0).max()) if norms2.size else 0.0
 
 
-def check_truncated_unitarity(matrix: TruncatedMatrix,
-                              tol: float = DEFAULT_MATRIX_TOL) -> UnitarityReport:
-    """Interior columns pairwise orthonormal and interior rows unit-norm."""
+def check_truncated_unitarity(matrix: TruncatedMatrix, tol: float = DEFAULT_TOL) -> UnitarityReport:
+    """Interior columns pairwise orthonormal and interior rows unit-norm, within a finite ``tol`` >= 0."""
+    check_tolerance(tol)
     col_dev = _col_gram_deviation(matrix)
     row_dev = _row_deviation(matrix)
     return UnitarityReport(
@@ -303,14 +298,14 @@ def check_truncated_unitarity(matrix: TruncatedMatrix,
     )
 
 
-def row_norm_bound_probe(matrix: TruncatedMatrix, tol: float = 1e-9) -> float:
+def row_norm_bound_probe(matrix: TruncatedMatrix) -> float:
     """Max interior row norm of a verified column-isometry.
 
     Refuses to answer unless the interior columns are orthonormal, since
     the bound only holds for isometries.
     """
     col_dev = _col_gram_deviation(matrix)
-    if not col_dev <= tol:      # NaN included
+    if not col_dev <= DEFAULT_TOL:      # NaN included
         raise QpaError(
             f"interior columns are not orthonormal (deviation {col_dev:.3g}); "
             "row bound not applicable")
@@ -345,7 +340,7 @@ def shift_fixture(n: int) -> TruncatedMatrix:
     rows = [0, 1] + [c + 1 for c in range(1, n - 1)]
     cols = [0, 0] + list(range(1, n - 1))
     vals = [inv, inv] + [1.0] * (n - 2)
-    return _matrix_from_triplets(n, rows, cols, vals, range(n - 1), range(n))
+    return TruncatedMatrix(n, rows, cols, vals, range(n - 1), range(n))
 
 
 def banded_associativity_probe(a: TruncatedMatrix, b: TruncatedMatrix,
@@ -364,7 +359,7 @@ def random_banded_matrix(n: int, bandwidth: int, seed: int) -> TruncatedMatrix:
     r, c = np.indices((n, n))
     m[np.abs(r - c) > bandwidth] = 0.0
     rows, cols = np.nonzero(m)
-    return _matrix_from_triplets(n, rows, cols, m[rows, cols], range(n), range(n))
+    return TruncatedMatrix(n, rows, cols, m[rows, cols], range(n), range(n))
 
 
 def random_banded_isometry(n: int, m: int, bandwidth: int, seed: int) -> TruncatedMatrix:
@@ -383,8 +378,7 @@ def random_banded_isometry(n: int, m: int, bandwidth: int, seed: int) -> Truncat
     q = q[:, :m]
     rows, cols = np.nonzero(q)
     keep = np.abs(q[rows, cols]) > 0.0
-    return _matrix_from_triplets(
-        n, rows[keep], cols[keep], q[rows, cols][keep], range(m), range(n))
+    return TruncatedMatrix(n, rows[keep], cols[keep], q[rows, cols][keep], range(m), range(n))
 
 
 def random_partial_permutation(n: int, m: int, max_shift: int, seed: int) -> TruncatedMatrix:
@@ -408,8 +402,7 @@ def random_partial_permutation(n: int, m: int, max_shift: int, seed: int) -> Tru
         used.add(r)
         targets.append(r)
     signs = rng.choice([-1.0, 1.0], size=m)
-    return _matrix_from_triplets(
-        n, targets, list(range(m)), signs, range(m), range(n))
+    return TruncatedMatrix(n, targets, range(m), signs, range(m), range(n))
 
 
 # --- output --------------------------------------------------------------------

@@ -35,7 +35,22 @@ KIND_SIMPLIFIED = "simplified"
 KIND_REVERSIBLE = "reversible"
 KINDS = (KIND_GENERAL, KIND_SIMPLIFIED, KIND_REVERSIBLE)
 
-AMPLITUDE_TOL = 1e-9
+DEFAULT_TOL = 1e-9    # the one bound on residuals: condition sums, Gram and row deviations, amplitude moduli
+QUOTE_LIMIT = 80      # a longer text is quoted in an error by its length and at most 24 of its characters
+
+
+def check_tolerance(tol: float) -> float:
+    """``tol``, if it is a finite number >= 0; else ValueError."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
+    return tol
+
+
+def quote(text: str, at: int = 0) -> str:
+    """``repr(text)``, or past ``QUOTE_LIMIT`` characters its length and the (up to) 24 characters around ``at``."""
+    if len(text) <= QUOTE_LIMIT:
+        return repr(text)
+    return f"of {len(text)} characters, near {text[max(0, at - 12):at + 12]!r}"
 
 
 class QpaError(Exception):
@@ -281,19 +296,17 @@ def parse_amplitude(literal: str) -> complex:
     ``inf``, overflowing decimals) are rejected.
     """
     text = literal.strip()
-    if text.startswith("(") and text.endswith(")") and "," in text:
-        body = text[1:-1]
-        parts = body.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"malformed amplitude pair {literal!r}")
-        value = complex(_parse_real(parts[0]), _parse_real(parts[1]))
-    else:
-        try:
+    pair = text.startswith("(") and text.endswith(")") and "," in text
+    try:
+        if pair:
+            re_part, im_part = text[1:-1].split(",")     # ValueError unless two parts
+            value = complex(_parse_real(re_part), _parse_real(im_part))
+        else:
             value = complex(_parse_real(text), 0.0)
-        except ValueError as exc:
-            raise ValueError(f"malformed amplitude literal {literal!r}") from exc
+    except ValueError as exc:
+        raise ValueError(f"malformed amplitude {'pair' if pair else 'literal'} {quote(literal)}") from exc
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise ValueError(f"non-finite amplitude {literal!r}")
+        raise ValueError(f"non-finite amplitude {quote(literal)}")
     return value
 
 
@@ -306,7 +319,7 @@ def format_amplitude(value: complex) -> str:
 
 # --- structural validation --------------------------------------------------
 
-def validate_structure(spec: QpaSpec, tol: float = AMPLITUDE_TOL) -> list[StructureViolation]:
+def validate_structure(spec: QpaSpec) -> list[StructureViolation]:
     """Check every structural restriction on the table; violations are data.
 
     An empty result means the spec is structurally sound (it says nothing
@@ -366,7 +379,7 @@ def validate_structure(spec: QpaSpec, tol: float = AMPLITUDE_TOL) -> list[Struct
                 bad.append(("base-pushed-above", f"{STACK_BASE} pushed above the bottom"))
         elif base in omega:
             bad.append(("base-in-push", f"{STACK_BASE} pushed after popping an ordinary symbol"))
-        if abs(amp) > 1.0 + tol:
+        if abs(amp) > 1.0 + DEFAULT_TOL:
             bad.append(("amplitude-too-large", f"modulus {abs(amp):.12g} exceeds 1"))
         if amp != 0 and want[q] is not None and key.d is not want[q]:
             bad.append(("direction-mismatch",

@@ -12,7 +12,8 @@ Condition identifiers
 
 Both lists come from one table per suite (``_SUITES``): each scan with
 the ids of the conditions it fills, in report order.  ``check_all`` and
-the four public ``check_*`` functions build their collectors from it.
+the four public ``check_*`` functions build their collectors from it, and
+judge residuals against ``model.DEFAULT_TOL`` by default, as the matrix lab does.
 
 LPC asks each source column to carry unit probability; OCV asks columns
 sharing a tape symbol to be orthogonal; RVN asks each target row to
@@ -32,13 +33,13 @@ raises ``StructureError`` with the structure check's violations.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import product
 
 from .model import (
     ADVANCE_ID,
+    DEFAULT_TOL,
     DIRECTIONS,
     KIND_GENERAL,
     KIND_REVERSIBLE,
@@ -48,10 +49,10 @@ from .model import (
     STAY_ID,
     StructureError,
     cached_on,
+    check_tolerance,
     validate_structure,
 )
 
-DEFAULT_TOL = 1e-9
 DEFAULT_MAX_REPORTS = 100
 
 # direction ids as the compiled table numbers them
@@ -107,10 +108,8 @@ class _Collector:
     """
 
     def __init__(self, condition_id: str, tol: float, max_reports: int):
-        if not (math.isfinite(tol) and tol >= 0):
-            raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
         self.condition_id = condition_id
-        self.tol = tol
+        self.tol = check_tolerance(tol)
         self.max_reports = max_reports
         self.reports: list[ConditionReport] = []
         self.violations = 0

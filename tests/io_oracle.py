@@ -20,7 +20,7 @@ from qpakit.io import (
     tokenize_push,
 )
 from qpakit.model import (
-    AMPLITUDE_TOL,
+    DEFAULT_TOL,
     KIND_GENERAL,
     KIND_REVERSIBLE,
     KINDS,
@@ -133,7 +133,7 @@ def qpa_from_dict(doc: dict, validate: bool = True) -> QpaSpec:
     return spec
 
 
-def validate_structure(spec: QpaSpec, tol: float = AMPLITUDE_TOL) -> list[StructureViolation]:
+def validate_structure(spec: QpaSpec, tol: float = DEFAULT_TOL) -> list[StructureViolation]:
     """Check every structural restriction on the table; violations are data.
 
     An empty result means the spec is structurally sound (it says nothing

@@ -20,7 +20,6 @@ from qpakit.matrixlab import (
     TruncatedMatrix,
     WindowCapError,
     _count_stacks,
-    _matrix_from_triplets,
 )
 from qpakit.model import Direction, STACK_BASE, QpaSpec
 
@@ -151,6 +150,6 @@ def build_matrix(spec: QpaSpec, window: ConfigWindow) -> TruncatedMatrix:
                 rows.append(r_idx)
                 cols.append(c_idx)
                 vals.append(amp)
-    return _matrix_from_triplets(
+    return TruncatedMatrix(
         len(window.configs), rows, cols, vals,
         window.interior_cols, window.interior_rows)

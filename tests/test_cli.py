@@ -147,6 +147,13 @@ class TestBatch:
     def test_missing_words_file(self, files, capsys):
         assert main(["batch", files["l2"], "/nonexistent/words.txt"]) == 3
 
+    def test_a_byte_order_mark_is_not_part_of_the_first_word(self, files, tmp_path, capsys):
+        words = tmp_path / "bom.txt"
+        words.write_bytes(b"\xef\xbb\xbfab\r\naab\n")
+        assert main(["batch", files["l2"], str(words)]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["ab", "aab"]
+
     def test_rerun_is_byte_identical(self, files, tmp_path, capsys):
         words = tmp_path / "w.txt"
         words.write_text("ab\nba\n", encoding="utf-8")
@@ -309,6 +316,37 @@ class TestToleranceArguments:
         assert main(["check", files["nonunitary"], "--tolerance", "0"]) == 2
 
 
+class TestOneTolerance:
+    """``check`` and ``matrix --verify`` judge one residual against one default."""
+
+    @pytest.fixture
+    def probe(self, tmp_path):
+        # l2 as a simplified table whose (q0, b, Z0) column and one row lose 4e-9
+        doc = json.loads(qpa_dumps(zoo.fixture_specs()["l2"]))
+        doc["kind"] = "simplified"
+        for t in doc["transitions"]:
+            if (t["from"], t["input"], t["stack_top"]) == ("q0", "b", "Z0"):
+                t["amp"] = "0.999999998"
+        path = tmp_path / "probe.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    def test_both_commands_fail_the_probe_at_the_defaults(self, probe, capsys):
+        assert main(["check", probe]) == 2
+        assert "result: NOT well-formed" in capsys.readouterr().out
+        assert main(["matrix", probe, "--word", "b", "--radius", "1", "--verify"]) == 2
+        assert "verdict: NOT unitary" in capsys.readouterr().out
+
+    def test_both_commands_pass_the_probe_at_a_looser_tolerance(self, probe, capsys):
+        assert main(["check", probe, "--tolerance", "1e-8"]) == 0
+        assert main(["matrix", probe, "--word", "b", "--radius", "1", "--verify",
+                     "--tolerance", "1e-8"]) == 0
+
+    def test_verify_reports_the_default(self, files, capsys):
+        assert main(["matrix", files["l2"], "--word", "ab", "--radius", "1", "--verify", "--json"]) == 0
+        assert '"tolerance": 1e-09,' in capsys.readouterr().out
+
+
 class TestNonFiniteTables:
     def test_nan_amplitude_exits_three(self, tmp_path, capsys):
         doc = json.loads(qpa_dumps(zoo.fixture_specs()["l5"]))
@@ -448,6 +486,13 @@ ERROR_COMMANDS = (
        "matrix {no_sigma} --word a --radius 1", "check {overflow}"])
 
 
+def _one_entry_table(amp: str) -> dict:
+    return {"kind": "general", "states": ["q"], "input_alphabet": ["a"], "stack_alphabet": [],
+            "initial": "q", "accepting": [], "rejecting": [],
+            "transitions": [{"from": "q", "input": "a", "stack_top": "Z0", "to": "q",
+                             "dir": "advance", "push": "Z0", "amp": amp}]}
+
+
 @pytest.fixture(scope="module")
 def bad(files, tmp_path_factory):
     root = tmp_path_factory.mktemp("bad")
@@ -528,6 +573,41 @@ class TestErrorBoundary:
         assert captured.out == ""
         assert captured.err.startswith("error: 1 structure violation(s): ") and captured.err.count("\n") == 1
         assert "Z0 pushed above the bottom" in captured.err
+
+    @pytest.mark.parametrize("amp", ["1%s/1" % ("0" * 400), "sqrt(%s)" % ("x" * 494),
+                                     "(0,-1%s/3)" % ("0" * 400), "9" * 400],
+                             ids=["fraction", "sqrt", "pair", "decimal"])
+    def test_long_bad_amplitude_gives_a_bounded_message(self, amp, tmp_path, capsys):
+        path = tmp_path / "amp.json"
+        path.write_text(json.dumps(_one_entry_table(amp)), encoding="utf-8")
+        assert main(["check", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: transition 0: ") and err.count("\n") == 1, err
+        assert len(err.encode()) <= 200 and f" of {len(amp)} characters, near " in err, err
+
+    @pytest.mark.parametrize("amp, message", [
+        ("x" * 80, "malformed amplitude literal %r"), ("(1/0,0)", "malformed amplitude pair %r"),
+        ("1e999", "non-finite amplitude %r")], ids=["literal", "pair", "non-finite"])
+    def test_short_bad_amplitude_is_quoted_whole(self, amp, message, tmp_path, capsys):
+        path = tmp_path / "amp.json"
+        path.write_text(json.dumps(_one_entry_table(amp)), encoding="utf-8")
+        assert main(["check", str(path)]) == 3
+        assert capsys.readouterr().err == f"error: transition 0: {message % amp}\n"
+
+    @pytest.mark.parametrize("command", ["check {table}", "batch {l2} {table}", "compile-dfa {table} {out}"])
+    def test_undecodable_input_is_named_with_its_byte_offset(self, command, bad, tmp_path, capsys):
+        table = tmp_path / "latin1.json"
+        table.write_bytes(b'{"kind": "g\xe9n\xe9ral"}')
+        assert main(command.format_map({**bad, "table": str(table)}).split()) == 3
+        assert capsys.readouterr().err == f"error: {table}: invalid UTF-8 at byte 11\n"
+
+    @pytest.mark.parametrize("name", ["l2", "dfa"])
+    def test_a_byte_order_mark_before_a_table_is_dropped(self, name, files, tmp_path, capsys):
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xef\xbb\xbf" + Path(files[name]).read_bytes())
+        command = ["check", str(path)] if name == "l2" else ["compile-dfa", str(path), str(tmp_path / "o.json")]
+        assert main(command) == 0
+        assert capsys.readouterr().err == ""
 
     def test_long_bad_word_gives_a_bounded_message(self, files, tmp_path, capsys):
         words = tmp_path / "long.words"

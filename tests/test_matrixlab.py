@@ -13,7 +13,6 @@ from qpakit.matrixlab import (
     WindowCapError,
     _col_gram_deviation,
     _gram,
-    _matrix_from_triplets,
     banded_associativity_probe,
     build_matrix,
     check_truncated_unitarity,
@@ -27,7 +26,7 @@ from qpakit.matrixlab import (
     rows_pairwise_orthogonal_deviation,
     shift_fixture,
 )
-from qpakit.model import Direction, QpaError, STACK_BASE
+from qpakit.model import DEFAULT_TOL, Direction, QpaError, STACK_BASE
 
 from conftest import random_total_dfa, words_up_to
 
@@ -132,6 +131,23 @@ class TestTruncatedUnitarity:
         rep = check_truncated_unitarity(build_matrix(rpa, w), tol=1e-8)
         assert rep.passed
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0])
+    def test_a_bad_tolerance_is_refused(self, tol):
+        # as check_all refuses it: an infinite or NaN tolerance would pass or fail everything
+        with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+            check_truncated_unitarity(shift_fixture(4), tol=tol)
+
+    def test_the_default_tolerance_is_model_default_tol(self):
+        assert check_truncated_unitarity(shift_fixture(4)).tolerance == DEFAULT_TOL == 1e-9
+
+    def test_sequences_are_converted_on_construction(self):
+        m = TruncatedMatrix(2, rows=[0, 1], cols=[0, 1], vals=[1, 1],
+                            interior_cols={0, 1}, interior_rows={0, 1})
+        assert (m.rows.dtype, m.cols.dtype, m.vals.dtype) == (np.int64, np.int64, complex)
+        assert type(m.interior_cols) is type(m.interior_rows) is frozenset
+        rep = check_truncated_unitarity(m)
+        assert rep.passed and rep.col_deviation == rep.row_deviation == 0.0
+
     def test_dense_and_sparse_agree(self):
         spec = zoo.l2_rpa().spec
         w = enumerate_window(spec, "ab", 4)
@@ -143,15 +159,15 @@ class TestTruncatedUnitarity:
 
     @pytest.mark.parametrize("dim", [2, 160])
     def test_nan_column_is_reported_on_both_sides_of_the_cut(self, dim):
-        m = _matrix_from_triplets(dim, range(dim), range(dim), [math.nan] + [1.0] * (dim - 1),
-                                  range(dim), range(dim))
+        m = TruncatedMatrix(dim, range(dim), range(dim), [math.nan] + [1.0] * (dim - 1),
+                            range(dim), range(dim))
         assert math.isnan(_col_gram_deviation(m))
         rep = check_truncated_unitarity(m)
         assert math.isnan(rep.col_deviation) and not rep.passed
         with pytest.raises(QpaError):
             row_norm_bound_probe(m)
 
-    @pytest.mark.parametrize("make", [TruncatedMatrix, _matrix_from_triplets])
+    @pytest.mark.parametrize("make", [TruncatedMatrix])
     def test_a_repeated_position_is_refused(self, make):
         # the dense form adds the two entries to [[1]]; the row and Gram checks would see two halves
         zeros, one = np.array([0, 0]), frozenset({0})
@@ -232,21 +248,21 @@ class TestGramPass:
             assert _col_gram_deviation(m) == pytest.approx(_dense_gram_deviation(m), rel=0, abs=1e-13)
 
     def test_shared_row_fails_on_the_off_diagonal_alone(self):
-        m = _matrix_from_triplets(3, [1, 1], [0, 2], [1.0, 1.0], {0, 2}, range(3))
+        m = TruncatedMatrix(3, [1, 1], [0, 2], [1.0, 1.0], {0, 2}, range(3))
         diag, off = _gram(m.rows, m.cols, m.vals, m.interior_cols, m.dim)
         assert list(diag) == [1.0, 1.0]
         assert _col_gram_deviation(m) == 1.0
 
     def test_empty_interior_column_deviates_by_one(self):
-        m = _matrix_from_triplets(3, [0], [0], [1.0], {0, 1}, range(3))
+        m = TruncatedMatrix(3, [0], [0], [1.0], {0, 1}, range(3))
         assert _col_gram_deviation(m) == 1.0
 
     def test_empty_interior_deviates_by_nothing(self):
-        m = _matrix_from_triplets(3, [0, 1], [0, 1], [2.0, 3.0], (), range(3))
+        m = TruncatedMatrix(3, [0, 1], [0, 1], [2.0, 3.0], (), range(3))
         assert _col_gram_deviation(m) == 0.0
 
     def test_nan_in_a_shared_row(self):
-        m = _matrix_from_triplets(3, [0, 1, 1], [0, 1, 2], [1.0, math.nan, 0.0], range(3), range(3))
+        m = TruncatedMatrix(3, [0, 1, 1], [0, 1, 2], [1.0, math.nan, 0.0], range(3), range(3))
         assert math.isnan(_col_gram_deviation(m))
 
     def test_rows_agree_with_the_dense_product(self):

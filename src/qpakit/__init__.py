@@ -46,12 +46,11 @@ from .evolve import (
     NotWellFormedError,
     apply_evolution,
     decide,
-    initial_superposition,
     measure,
     recognize,
     trace,
 )
-from .dfa2rpa import compile_dfa, simulate_dfa
+from .dfa2rpa import compile_dfa
 from . import zoo
 
 __version__ = "0.1.0"

@@ -1,7 +1,8 @@
 """Compile a total DFA into a reversible pushdown automaton.
 
 The construction doubles the state set with primed twins and uses the
-decimal index of each DFA state as a stack symbol.  Scanning states
+decimal index of each DFA state, zero-padded to one width so that every
+push word splits one way only, as a stack symbol.  Scanning states
 advance and push the index of the state they leave, so the stack records
 the path; primed states stay put and either unwind that record or hand
 control back.  Only the end-marker hop into a primed state is live, but
@@ -37,16 +38,6 @@ _ADV = Direction.ADVANCE
 _STAY = Direction.STAY
 
 
-def simulate_dfa(dfa: DfaSpec, word: str) -> bool:
-    """Classical run of the DFA; the oracle for equivalence testing."""
-    state = dfa.q0
-    for ch in word:
-        if ch not in dfa.sigma:
-            raise QpaError(f"{ch!r} is not in the DFA alphabet")
-        state = dfa.trans[(state, ch)]
-    return state in dfa.finals
-
-
 def _primed_name(name: str, taken: set[str]) -> str:
     primed = name + "'"
     if primed in taken:
@@ -66,7 +57,8 @@ def compile_dfa(dfa: DfaSpec) -> QpaSpec:
     plain = sorted(dfa.states)
     taken = set(plain)
     primed = {q: _primed_name(q, taken) for q in plain}
-    index = {q: str(i) for i, q in enumerate(plain)}
+    width = len(str(len(plain) - 1))
+    index = {q: str(i).zfill(width) for i, q in enumerate(plain)}
     of_index = {v: k for k, v in index.items()}
 
     sigma = frozenset(dfa.sigma)

@@ -245,9 +245,6 @@ class Superposition:
     def sorted_items(self) -> list[tuple[Configuration, complex]]:
         return sorted(self.amplitudes.items(), key=lambda kv: kv[0])
 
-    def amplitude(self, config: Configuration) -> complex:
-        return self.amplitudes.get(config, 0.0 + 0.0j)
-
     def __len__(self) -> int:
         return len(self._packed)
 
@@ -291,11 +288,6 @@ class TraceStep:
 def _initial(run: _Run) -> Superposition:
     key = run.key(Configuration(run.spec.q0, 0, (STACK_BASE,)))
     return Superposition(run, {key: 1.0 + 0.0j})
-
-
-def initial_superposition(spec: QpaSpec, word: str) -> Superposition:
-    """Unit mass on (initial state, head on the left marker, base stack)."""
-    return _initial(_Run(spec, TapeContext.from_word(spec, word)))
 
 
 def apply_evolution(spec: QpaSpec, tape: TapeContext, psi: Superposition,

@@ -26,6 +26,7 @@ from .model import (
     format_amplitude,
     parse_amplitude,
     quote,
+    quote_all,
     validate_structure,
 )
 
@@ -70,9 +71,9 @@ def tokenize_push(text: str, stack_symbols: frozenset[str]) -> tuple[str, ...]:
         if a in stack_symbols and b in stack_symbols:
             options.append((a, b))
     if not options:
-        raise ParseError(f"push word {text!r} is not a sequence of declared stack symbols")
+        raise ParseError(f"push word {quote(text)} is not a sequence of declared stack symbols")
     if len(options) > 1:
-        raise ParseError(f"push word {text!r} is ambiguous: {options}")
+        raise ParseError(f"push word {quote(text)} is ambiguous: [{', '.join(map(quote_all, options))}]")
     return options[0]
 
 
@@ -114,13 +115,13 @@ def tokenize_word(alphabets: Alphabets, word: str) -> tuple[str, ...]:
 def qpa_from_dict(doc: dict, validate: bool = True) -> QpaSpec:
     _require(isinstance(doc, dict), "document must be a JSON object")
     unknown = set(doc) - _QPA_FIELDS
-    _require(not unknown, f"unknown fields {sorted(unknown)}")
+    _require(not unknown, f"unknown fields {quote_all(sorted(unknown))}")
     for f in ("kind", "states", "input_alphabet", "stack_alphabet", "initial",
               "accepting", "rejecting", "transitions"):
         _require(f in doc, f"missing field {f!r}")
 
     kind = doc["kind"]
-    _require(kind in KINDS, f"unknown kind {kind!r}")
+    _require(kind in KINDS, f"unknown kind {quote(kind)}")
     states = _str_list(doc, "states")
     _require(len(states) == len(set(states)), "duplicate state names")
     sigma = _str_list(doc, "input_alphabet")
@@ -139,13 +140,13 @@ def qpa_from_dict(doc: dict, validate: bool = True) -> QpaSpec:
 
     direction = None
     if kind != KIND_GENERAL:
-        _require("direction" in doc, f"kind {kind!r} requires a 'direction' map")
+        _require("direction" in doc, f"kind {quote(kind)} requires a 'direction' map")
     if "direction" in doc:
         raw = doc["direction"]
         _require(isinstance(raw, dict), "'direction' must be an object")
         direction = {}
         for q, d in raw.items():
-            _require(d in ("stay", "advance"), f"direction for {q!r} must be 'stay' or 'advance'")
+            _require(d in ("stay", "advance"), f"direction for {quote(q)} must be 'stay' or 'advance'")
             direction[q] = _DIRECTIONS[d]
 
     delta: dict[TransitionKey, complex] = {}
@@ -159,7 +160,7 @@ def qpa_from_dict(doc: dict, validate: bool = True) -> QpaSpec:
             raise ParseError(f"transition {i} must be an object")
         if item.keys() != _TRANSITION_FIELDS:
             unknown = set(item) - _TRANSITION_FIELDS
-            _require(not unknown, f"transition {i}: unknown fields {sorted(unknown)}")
+            _require(not unknown, f"transition {i}: unknown fields {quote_all(sorted(unknown))}")
             missing = _TRANSITION_FIELDS - set(item)
             _require(not missing, f"transition {i}: missing fields {sorted(missing)}")
         try:
@@ -169,7 +170,7 @@ def qpa_from_dict(doc: dict, validate: bool = True) -> QpaSpec:
             raise ParseError(f"transition {i}: {f!r} must be a string") from None
         d = _DIRECTIONS.get(item["dir"])
         if d is None:
-            raise ParseError(f"transition {i}: bad dir {item['dir']!r}")
+            raise ParseError(f"transition {i}: bad dir {quote(item['dir'])}")
         try:
             omega = tokenize_push(item["push"], alphabets.delta_alpha)
         except ParseError as exc:
@@ -273,7 +274,7 @@ def save_qpa(spec: QpaSpec, path: str | Path) -> None:
 def dfa_from_dict(doc: dict) -> DfaSpec:
     _require(isinstance(doc, dict), "document must be a JSON object")
     unknown = set(doc) - _DFA_FIELDS
-    _require(not unknown, f"unknown fields {sorted(unknown)}")
+    _require(not unknown, f"unknown fields {quote_all(sorted(unknown))}")
     for f in _DFA_FIELDS:
         _require(f in doc, f"missing field {f!r}")
     states = _str_list(doc, "states")
@@ -285,11 +286,11 @@ def dfa_from_dict(doc: dict) -> DfaSpec:
     for i, item in enumerate(doc["transitions"]):
         _require(isinstance(item, dict), f"transition {i} must be an object")
         unknown = set(item) - {"from", "input", "to"}
-        _require(not unknown, f"transition {i}: unknown fields {sorted(unknown)}")
+        _require(not unknown, f"transition {i}: unknown fields {quote_all(sorted(unknown))}")
         for f in ("from", "input", "to"):
             _require(isinstance(item.get(f), str), f"transition {i}: missing field {f!r}")
         key = (item["from"], item["input"])
-        _require(key not in trans, f"transition {i}: duplicate for {key!r}")
+        _require(key not in trans, f"transition {i}: duplicate for {quote_all(key)}")
         trans[key] = item["to"]
     dfa = DfaSpec(
         states=frozenset(states),

@@ -32,10 +32,10 @@ them.  Deviations are judged against the condition suite's tolerance,
 verdict.  Documentation elsewhere labels rows and columns
 1-based; all indices in this module are 0-based.
 
-The module also ships the standalone fixtures used to probe the banded
-matrix facts: a shifted column-isometry whose truncations satisfy
-``U*U = I`` while ``UU*`` does not, seeded random banded isometries, and
-an associativity probe for banded triples, on their dense arrays.
+The module also ships the standalone fixture used to probe the banded
+matrix facts, a shifted column-isometry whose truncations satisfy
+``U*U = I`` while ``UU*`` does not, and an associativity probe for banded
+triples, on their dense arrays.
 """
 from __future__ import annotations
 
@@ -313,10 +313,6 @@ def row_norm_bound_probe(matrix: TruncatedMatrix) -> float:
     return float(np.sqrt(norms2.max())) if norms2.size else 0.0
 
 
-def interior_row_norms(matrix: TruncatedMatrix) -> np.ndarray:
-    return np.sqrt(_interior_row_norms_squared(matrix))
-
-
 def rows_pairwise_orthogonal_deviation(matrix: TruncatedMatrix) -> float:
     """Max |inner product| over distinct interior row pairs, NaN if an interior row holds NaN."""
     diag, off = _gram(matrix.cols, matrix.rows, matrix.vals, matrix.interior_rows, matrix.dim)
@@ -350,59 +346,6 @@ def banded_associativity_probe(a: TruncatedMatrix, b: TruncatedMatrix,
         raise ValueError("dimension mismatch")
     am, bm, cm = a.to_dense(), b.to_dense(), c.to_dense()
     return float(np.abs((am @ bm) @ cm - am @ (bm @ cm)).max(initial=0.0))
-
-
-def random_banded_matrix(n: int, bandwidth: int, seed: int) -> TruncatedMatrix:
-    """Seeded random complex matrix supported on a band around the diagonal."""
-    rng = np.random.default_rng(seed)
-    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    r, c = np.indices((n, n))
-    m[np.abs(r - c) > bandwidth] = 0.0
-    rows, cols = np.nonzero(m)
-    return TruncatedMatrix(n, rows, cols, m[rows, cols], range(n), range(n))
-
-
-def random_banded_isometry(n: int, m: int, bandwidth: int, seed: int) -> TruncatedMatrix:
-    """Orthonormalized random banded columns; an exact n x m column-isometry.
-
-    QR factorization of a banded matrix keeps the lower profile, so the
-    result stays banded; dropping trailing columns (m < n) leaves the
-    remaining columns orthonormal while freeing some rows to have norm
-    below one.  Returned as an n x n matrix whose last n - m columns are
-    zero and excluded from the interior set.
-    """
-    if not (1 <= m <= n):
-        raise ValueError("need 1 <= m <= n")
-    base = random_banded_matrix(n, bandwidth, seed).to_dense()
-    q, _ = np.linalg.qr(base)
-    q = q[:, :m]
-    rows, cols = np.nonzero(q)
-    keep = np.abs(q[rows, cols]) > 0.0
-    return TruncatedMatrix(n, rows[keep], cols[keep], q[rows, cols][keep], range(m), range(n))
-
-
-def random_partial_permutation(n: int, m: int, max_shift: int, seed: int) -> TruncatedMatrix:
-    """Signed partial permutation: m distinct basis columns inside a band.
-
-    Columns are orthonormal and every row norm is exactly 0 or 1, so the
-    rows are pairwise orthogonal.
-    """
-    if not (1 <= m <= n):
-        raise ValueError("need 1 <= m <= n")
-    rng = np.random.default_rng(seed)
-    targets: list[int] = []
-    used = set()
-    for j in range(m):
-        lo = max(0, j - max_shift)
-        hi = min(n - 1, j + max_shift)
-        choices = [r for r in range(lo, hi + 1) if r not in used]
-        if not choices:
-            choices = [r for r in range(n) if r not in used]
-        r = int(rng.choice(choices))
-        used.add(r)
-        targets.append(r)
-    signs = rng.choice([-1.0, 1.0], size=m)
-    return TruncatedMatrix(n, targets, range(m), signs, range(m), range(n))
 
 
 # --- output --------------------------------------------------------------------

@@ -37,6 +37,7 @@ KINDS = (KIND_GENERAL, KIND_SIMPLIFIED, KIND_REVERSIBLE)
 
 DEFAULT_TOL = 1e-9    # the one bound on residuals: condition sums, Gram and row deviations, amplitude moduli
 QUOTE_LIMIT = 80      # a longer text is quoted in an error by its length and at most 24 of its characters
+QUOTE_BYTES = 120     # the most UTF-8 bytes a quoted text takes in an error
 
 
 def check_tolerance(tol: float) -> float:
@@ -47,10 +48,20 @@ def check_tolerance(tol: float) -> float:
 
 
 def quote(text: str, at: int = 0) -> str:
-    """``repr(text)``, or past ``QUOTE_LIMIT`` characters its length and the (up to) 24 characters around ``at``."""
-    if len(text) <= QUOTE_LIMIT:
-        return repr(text)
-    return f"of {len(text)} characters, near {text[max(0, at - 12):at + 12]!r}"
+    """``repr(text)``, or past ``QUOTE_LIMIT`` characters or ``QUOTE_BYTES`` bytes its length and the
+    (up to) 24 characters around ``at``, fewer where their repr is long.  A value that is not a string is its repr."""
+    whole = repr(text)
+    if not isinstance(text, str) or len(text) <= QUOTE_LIMIT and len(whole.encode()) <= QUOTE_BYTES:
+        return whole
+    # the rest of the phrase takes at most 40 bytes
+    near = next(e for h in (12, 6, 3, 0) if len((e := repr(text[max(0, at - h):at + h])).encode()) <= QUOTE_BYTES - 40)
+    return f"of {len(text)} characters, near {near}"
+
+
+def quote_all(names: list[str] | tuple[str, ...]) -> str:
+    """``repr(names)`` of a list or tuple of names, each through ``quote``."""
+    inner = ", ".join(map(quote, names)) + ("," if isinstance(names, tuple) and len(names) == 1 else "")
+    return f"[{inner}]" if isinstance(names, list) else f"({inner})"
 
 
 class QpaError(Exception):
@@ -118,19 +129,13 @@ class Alphabets:
 
     @cached_property
     def _sorted(self) -> tuple[tuple[str, ...], ...]:
-        return tuple(tuple(sorted(a)) for a in (self.sigma, self.gamma, self.t, self.delta_alpha))
+        return tuple(sorted(self.sigma)), tuple(sorted(self.t))
 
     def sigma_sorted(self) -> tuple[str, ...]:
         return self._sorted[0]
 
-    def gamma_sorted(self) -> tuple[str, ...]:
-        return self._sorted[1]
-
     def t_sorted(self) -> tuple[str, ...]:
-        return self._sorted[2]
-
-    def delta_sorted(self) -> tuple[str, ...]:
-        return self._sorted[3]
+        return self._sorted[1]
 
 
 @dataclass(frozen=True, order=True)
@@ -242,18 +247,18 @@ class DfaSpec:
 
     def validate(self) -> None:
         if self.q0 not in self.states:
-            raise StructureError([StructureViolation("dfa-initial-unknown", f"initial state {self.q0!r} not declared")])
+            raise StructureError([StructureViolation("dfa-initial-unknown", f"initial state {quote(self.q0)} not declared")])
         bad = []
         for q in sorted(self.states):
             for a in sorted(self.sigma):
                 to = self.trans.get((q, a))
                 if to is None:
-                    bad.append(StructureViolation("dfa-partial", f"missing transition ({q!r}, {a!r})"))
+                    bad.append(StructureViolation("dfa-partial", f"missing transition {quote_all((q, a))}"))
                 elif to not in self.states:
-                    bad.append(StructureViolation("dfa-target-unknown", f"transition ({q!r}, {a!r}) -> undeclared {to!r}"))
+                    bad.append(StructureViolation("dfa-target-unknown", f"transition {quote_all((q, a))} -> undeclared {quote(to)}"))
         extra = set(self.trans) - {(q, a) for q in self.states for a in self.sigma}
         for q, a in sorted(extra):
-            bad.append(StructureViolation("dfa-key-unknown", f"transition from undeclared ({q!r}, {a!r})"))
+            bad.append(StructureViolation("dfa-key-unknown", f"transition from undeclared {quote_all((q, a))}"))
         if not self.finals <= self.states:
             bad.append(StructureViolation("dfa-final-unknown", "accepting set contains undeclared states"))
         if bad:
@@ -328,9 +333,9 @@ def validate_structure(spec: QpaSpec) -> list[StructureViolation]:
     out: list[StructureViolation] = []
 
     if spec.kind not in KINDS:
-        out.append(StructureViolation("kind-unknown", f"unknown kind {spec.kind!r}"))
+        out.append(StructureViolation("kind-unknown", f"unknown kind {quote(spec.kind)}"))
     if spec.q0 not in spec.states:
-        out.append(StructureViolation("initial-unknown", f"initial state {spec.q0!r} not declared"))
+        out.append(StructureViolation("initial-unknown", f"initial state {quote(spec.q0)} not declared"))
     if not spec.q_accept <= spec.states:
         out.append(StructureViolation("accepting-unknown", "accepting set contains undeclared states"))
     if not spec.q_reject <= spec.states:
@@ -339,20 +344,20 @@ def validate_structure(spec: QpaSpec) -> list[StructureViolation]:
     if overlap:
         out.append(StructureViolation(
             "accept-reject-overlap",
-            f"states {sorted(overlap)} are both accepting and rejecting"))
+            f"states {quote_all(sorted(overlap))} are both accepting and rejecting"))
 
     dirs = spec.direction_fn
     ghosts = sorted(set(dirs or ()) - spec.states)
     if ghosts:
-        out.append(StructureViolation("direction-unknown", f"direction function given for undeclared states {ghosts}"))
+        out.append(StructureViolation("direction-unknown", f"direction function given for undeclared states {quote_all(ghosts)}"))
     if spec.kind != KIND_GENERAL:
         if dirs is None:
-            out.append(StructureViolation("direction-missing", f"kind {spec.kind!r} requires a direction function"))
+            out.append(StructureViolation("direction-missing", f"kind {quote(spec.kind)} requires a direction function"))
         else:
             missing = spec.states - set(dirs)
             if missing:
                 out.append(StructureViolation(
-                    "direction-partial", f"direction function undefined for {sorted(missing)}"))
+                    "direction-partial", f"direction function undefined for {quote_all(sorted(missing))}"))
 
     # the tests run on ids; the message context is formatted only for an entry that fails one
     table = spec.compiled()
@@ -387,7 +392,8 @@ def validate_structure(spec: QpaSpec) -> list[StructureViolation]:
         if spec.kind == KIND_REVERSIBLE and amp != 0 and amp != 1:
             bad.append(("reversible-amplitude", "reversible tables carry amplitude 1 exactly"))
         if bad:
-            ctx = f"transition {key.q1!r},{key.sigma!r},{key.tau!r} -> {key.q!r},{key.d.value},{key.omega!r}"
+            ctx = (f"transition {quote(key.q1)},{quote(key.sigma)},{quote(key.tau)} -> {quote(key.q)},{key.d.value},"
+                   f"{quote_all(key.omega)}")
             out.extend(StructureViolation(code, f"{ctx}: {text}", key) for code, text in bad)
     if spec.kind == KIND_REVERSIBLE:
         for group in table.sources.values():
@@ -395,5 +401,5 @@ def validate_structure(spec: QpaSpec) -> list[StructureViolation]:
             if n > 1:
                 k = group[0][-1]
                 out.append(StructureViolation(
-                    "reversible-multivalued", f"{n} entries stored for triple {(k.q1, k.sigma, k.tau)!r}"))
+                    "reversible-multivalued", f"{n} entries stored for triple {quote_all((k.q1, k.sigma, k.tau))}"))
     return out

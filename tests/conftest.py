@@ -1,4 +1,4 @@
-"""Shared fixtures: broken tables, word generators, tiny DFAs, table readers."""
+"""Shared fixtures: broken tables, word generators, tiny DFAs and their classical run, table readers, seeded banded matrices."""
 from __future__ import annotations
 
 import itertools
@@ -6,6 +6,8 @@ import itertools
 import numpy as np
 import pytest
 
+from qpakit.evolve import Configuration, Superposition, TapeContext
+from qpakit.matrixlab import TruncatedMatrix
 from qpakit.model import (
     Alphabets,
     DfaSpec,
@@ -13,6 +15,7 @@ from qpakit.model import (
     KIND_GENERAL,
     KIND_SIMPLIFIED,
     STACK_BASE,
+    QpaError,
     QpaSpec,
     SymbolError,
     TransitionKey,
@@ -60,6 +63,22 @@ def sources_by_name(spec: QpaSpec) -> dict[tuple[str, str, str], list[tuple[str,
     t = spec.compiled()
     return {(t.states[q1], t.tapes[sigma], t.syms[tau]): [(k.q, k.d, k.omega, amp) for *_, amp, k in group]
             for (q1, sigma, tau), group in t.sources.items()}
+
+
+def initial_superposition(spec: QpaSpec, word: str) -> Superposition:
+    """Unit mass on (initial state, head on the left marker, base stack)."""
+    tape = TapeContext.from_word(spec, word)
+    return Superposition.over(spec, tape, {Configuration(spec.q0, 0, (STACK_BASE,)): 1.0 + 0.0j})
+
+
+def simulate_dfa(dfa: DfaSpec, word: str) -> bool:
+    """Classical run of the DFA; the oracle for equivalence testing."""
+    state = dfa.q0
+    for ch in word:
+        if ch not in dfa.sigma:
+            raise QpaError(f"{ch!r} is not in the DFA alphabet")
+        state = dfa.trans[(state, ch)]
+    return state in dfa.finals
 
 
 @pytest.fixture(scope="session")
@@ -131,3 +150,61 @@ def lossy_spec() -> QpaSpec:
         sigma={"x"}, t={"1"}, states={"q"}, q0="q", q_acc=(), q_rej=(),
         entries=entries, kind=KIND_GENERAL,
     )
+
+
+def interior_row_norms(matrix: TruncatedMatrix) -> np.ndarray:
+    """Norms of the interior rows, in row order, from the dense matrix."""
+    return np.linalg.norm(matrix.to_dense()[sorted(matrix.interior_rows)], axis=1)
+
+
+def random_banded_matrix(n: int, bandwidth: int, seed: int) -> TruncatedMatrix:
+    """Seeded random complex matrix supported on a band around the diagonal."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    r, c = np.indices((n, n))
+    m[np.abs(r - c) > bandwidth] = 0.0
+    rows, cols = np.nonzero(m)
+    return TruncatedMatrix(n, rows, cols, m[rows, cols], range(n), range(n))
+
+
+def random_banded_isometry(n: int, m: int, bandwidth: int, seed: int) -> TruncatedMatrix:
+    """Orthonormalized random banded columns; an exact n x m column-isometry.
+
+    QR factorization of a banded matrix keeps the lower profile, so the
+    result stays banded; dropping trailing columns (m < n) leaves the
+    remaining columns orthonormal while freeing some rows to have norm
+    below one.  Returned as an n x n matrix whose last n - m columns are
+    zero and excluded from the interior set.
+    """
+    if not (1 <= m <= n):
+        raise ValueError("need 1 <= m <= n")
+    base = random_banded_matrix(n, bandwidth, seed).to_dense()
+    q, _ = np.linalg.qr(base)
+    q = q[:, :m]
+    rows, cols = np.nonzero(q)
+    keep = np.abs(q[rows, cols]) > 0.0
+    return TruncatedMatrix(n, rows[keep], cols[keep], q[rows, cols][keep], range(m), range(n))
+
+
+def random_partial_permutation(n: int, m: int, max_shift: int, seed: int) -> TruncatedMatrix:
+    """Signed partial permutation: m distinct basis columns inside a band.
+
+    Columns are orthonormal and every row norm is exactly 0 or 1, so the
+    rows are pairwise orthogonal.
+    """
+    if not (1 <= m <= n):
+        raise ValueError("need 1 <= m <= n")
+    rng = np.random.default_rng(seed)
+    targets: list[int] = []
+    used = set()
+    for j in range(m):
+        lo = max(0, j - max_shift)
+        hi = min(n - 1, j + max_shift)
+        choices = [r for r in range(lo, hi + 1) if r not in used]
+        if not choices:
+            choices = [r for r in range(n) if r not in used]
+        r = int(rng.choice(choices))
+        used.add(r)
+        targets.append(r)
+    signs = rng.choice([-1.0, 1.0], size=m)
+    return TruncatedMatrix(n, targets, range(m), signs, range(m), range(n))

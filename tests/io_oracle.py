@@ -4,8 +4,10 @@
 and ``by_source`` are the package's code from before names were interned
 into a compiled table, unchanged except that they sort the table with
 ``sorted(spec.delta)``, which is what ``QpaSpec.sorted_keys`` did then, so
-nothing here reads the compiled table.  Tests load the same document with
-both loaders and require the same exception and message, or equal specs.
+nothing here reads the compiled table, and that document text in a message
+goes through ``model.quote`` as in the package.  Tests load the same
+document with both loaders and require the same exception and message, or
+equal specs.
 """
 from __future__ import annotations
 
@@ -34,6 +36,8 @@ from qpakit.model import (
     TransitionKey,
     format_amplitude,
     parse_amplitude,
+    quote,
+    quote_all,
 )
 
 
@@ -44,13 +48,13 @@ def sorted_keys(spec: QpaSpec) -> list[TransitionKey]:
 def qpa_from_dict(doc: dict, validate: bool = True) -> QpaSpec:
     _require(isinstance(doc, dict), "document must be a JSON object")
     unknown = set(doc) - _QPA_FIELDS
-    _require(not unknown, f"unknown fields {sorted(unknown)}")
+    _require(not unknown, f"unknown fields {quote_all(sorted(unknown))}")
     for f in ("kind", "states", "input_alphabet", "stack_alphabet", "initial",
               "accepting", "rejecting", "transitions"):
         _require(f in doc, f"missing field {f!r}")
 
     kind = doc["kind"]
-    _require(kind in KINDS, f"unknown kind {kind!r}")
+    _require(kind in KINDS, f"unknown kind {quote(kind)}")
     states = _str_list(doc, "states")
     _require(len(states) == len(set(states)), "duplicate state names")
     sigma = _str_list(doc, "input_alphabet")
@@ -69,13 +73,13 @@ def qpa_from_dict(doc: dict, validate: bool = True) -> QpaSpec:
 
     direction = None
     if kind != KIND_GENERAL:
-        _require("direction" in doc, f"kind {kind!r} requires a 'direction' map")
+        _require("direction" in doc, f"kind {quote(kind)} requires a 'direction' map")
     if "direction" in doc:
         raw = doc["direction"]
         _require(isinstance(raw, dict), "'direction' must be an object")
         direction = {}
         for q, d in raw.items():
-            _require(d in ("stay", "advance"), f"direction for {q!r} must be 'stay' or 'advance'")
+            _require(d in ("stay", "advance"), f"direction for {quote(q)} must be 'stay' or 'advance'")
             direction[q] = Direction(d)
 
     delta: dict[TransitionKey, complex] = {}
@@ -86,7 +90,7 @@ def qpa_from_dict(doc: dict, validate: bool = True) -> QpaSpec:
     for i, item in enumerate(raw_trans):
         _require(isinstance(item, dict), f"transition {i} must be an object")
         unknown = set(item) - _TRANSITION_FIELDS
-        _require(not unknown, f"transition {i}: unknown fields {sorted(unknown)}")
+        _require(not unknown, f"transition {i}: unknown fields {quote_all(sorted(unknown))}")
         missing = _TRANSITION_FIELDS - set(item)
         _require(not missing, f"transition {i}: missing fields {sorted(missing)}")
         try:
@@ -94,7 +98,7 @@ def qpa_from_dict(doc: dict, validate: bool = True) -> QpaSpec:
         except TypeError:
             f = min(f for f in _TRANSITION_FIELDS if not isinstance(item[f], str))
             raise ParseError(f"transition {i}: {f!r} must be a string") from None
-        _require(item["dir"] in ("stay", "advance"), f"transition {i}: bad dir {item['dir']!r}")
+        _require(item["dir"] in ("stay", "advance"), f"transition {i}: bad dir {quote(item['dir'])}")
         try:
             omega = tokenize_push(item["push"], alphabets.delta_alpha)
         except ParseError as exc:
@@ -143,9 +147,9 @@ def validate_structure(spec: QpaSpec, tol: float = DEFAULT_TOL) -> list[Structur
     al = spec.alphabets
 
     if spec.kind not in KINDS:
-        out.append(StructureViolation("kind-unknown", f"unknown kind {spec.kind!r}"))
+        out.append(StructureViolation("kind-unknown", f"unknown kind {quote(spec.kind)}"))
     if spec.q0 not in spec.states:
-        out.append(StructureViolation("initial-unknown", f"initial state {spec.q0!r} not declared"))
+        out.append(StructureViolation("initial-unknown", f"initial state {quote(spec.q0)} not declared"))
     if not spec.q_accept <= spec.states:
         out.append(StructureViolation("accepting-unknown", "accepting set contains undeclared states"))
     if not spec.q_reject <= spec.states:
@@ -154,25 +158,26 @@ def validate_structure(spec: QpaSpec, tol: float = DEFAULT_TOL) -> list[Structur
     if overlap:
         out.append(StructureViolation(
             "accept-reject-overlap",
-            f"states {sorted(overlap)} are both accepting and rejecting"))
+            f"states {quote_all(sorted(overlap))} are both accepting and rejecting"))
 
     dirs = spec.direction_fn
     ghosts = sorted(set(dirs or ()) - spec.states)
     if ghosts:
-        out.append(StructureViolation("direction-unknown", f"direction function given for undeclared states {ghosts}"))
+        out.append(StructureViolation("direction-unknown", f"direction function given for undeclared states {quote_all(ghosts)}"))
     if spec.kind != KIND_GENERAL:
         if dirs is None:
-            out.append(StructureViolation("direction-missing", f"kind {spec.kind!r} requires a direction function"))
+            out.append(StructureViolation("direction-missing", f"kind {quote(spec.kind)} requires a direction function"))
         else:
             missing = spec.states - set(dirs)
             if missing:
                 out.append(StructureViolation(
-                    "direction-partial", f"direction function undefined for {sorted(missing)}"))
+                    "direction-partial", f"direction function undefined for {quote_all(sorted(missing))}"))
 
     seen_triples: dict[tuple[str, str, str], int] = {}
     for key in sorted_keys(spec):
         amp = spec.delta[key]
-        ctx = f"transition {key.q1!r},{key.sigma!r},{key.tau!r} -> {key.q!r},{key.d.value},{key.omega!r}"
+        ctx = (f"transition {quote(key.q1)},{quote(key.sigma)},{quote(key.tau)} -> {quote(key.q)},{key.d.value},"
+               f"{quote_all(key.omega)}")
         if key.q1 not in spec.states or key.q not in spec.states:
             out.append(StructureViolation("state-unknown", f"{ctx}: undeclared state", key))
         if key.sigma not in al.gamma:
@@ -217,7 +222,7 @@ def validate_structure(spec: QpaSpec, tol: float = DEFAULT_TOL) -> list[Structur
         for triple, n in sorted(seen_triples.items()):
             if n > 1:
                 out.append(StructureViolation(
-                    "reversible-multivalued", f"{n} entries stored for triple {triple!r}"))
+                    "reversible-multivalued", f"{n} entries stored for triple {quote_all(triple)}"))
     return out
 
 

@@ -10,24 +10,28 @@ import numpy as np
 import pytest
 
 from qpakit import zoo
-from qpakit.dfa2rpa import compile_dfa, simulate_dfa
+from qpakit.dfa2rpa import compile_dfa
 from qpakit.evolve import recognize, trace
 from qpakit.matrixlab import (
     banded_associativity_probe,
     build_matrix,
     check_truncated_unitarity,
     enumerate_window,
-    interior_row_norms,
-    random_banded_isometry,
-    random_banded_matrix,
-    random_partial_permutation,
     row_norm_bound_probe,
     rows_pairwise_orthogonal_deviation,
     shift_fixture,
 )
 from qpakit.wellformed import check_all
 
-from conftest import random_total_dfa, words_up_to
+from conftest import (
+    interior_row_norms,
+    random_banded_isometry,
+    random_banded_matrix,
+    random_partial_permutation,
+    random_total_dfa,
+    simulate_dfa,
+    words_up_to,
+)
 
 TOL = 1e-9
 

@@ -609,6 +609,35 @@ class TestErrorBoundary:
         assert main(command) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("command, n", [("run", 80), ("batch", 100)])
+    def test_non_printable_word_gives_a_bounded_message(self, command, n, files, tmp_path, capsys):
+        word = "\U000e0001" * n      # repr spells each as 10 characters
+        words = tmp_path / "tags.words"
+        words.write_text(word + "\n", encoding="utf-8")
+        assert main([command, files["l2"], word if command == "run" else str(words)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: word of ") and err.count("\n") == 1, err
+        assert len(err.encode()) <= 200 and err.endswith(" at position 0\n"), err
+
+    @pytest.mark.parametrize("field", ["push", "kind", "dir", "unknown", "initial", "to", "direction"])
+    def test_long_document_string_gives_a_bounded_message(self, field, files, tmp_path, capsys):
+        doc = json.loads(Path(files["l2"]).read_text(encoding="utf-8"))
+        text = "w" * 500
+        if field in ("push", "dir", "to"):
+            doc["transitions"][3][field] = text
+        elif field == "unknown":
+            doc[text] = 1
+        elif field == "direction":
+            doc["direction"][text] = "stay"
+        else:
+            doc[field] = text
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["check", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert len(err.encode()) <= 200 and "of 500 characters, near 'wwwwwwwwwwww'" in err, err
+
     def test_long_bad_word_gives_a_bounded_message(self, files, tmp_path, capsys):
         words = tmp_path / "long.words"
         words.write_text("x" * 50000 + "\n", encoding="utf-8")

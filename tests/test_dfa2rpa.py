@@ -2,13 +2,14 @@
 import numpy as np
 import pytest
 
-from qpakit.dfa2rpa import compile_dfa, simulate_dfa
+from qpakit.dfa2rpa import compile_dfa
 from qpakit.evolve import recognize
+from qpakit.io import qpa_dumps, qpa_loads
 from qpakit.model import DfaSpec, QpaError, StructureError
 from qpakit.wellformed import check_all
 from qpakit.model import validate_structure
 
-from conftest import random_total_dfa, words_up_to
+from conftest import random_total_dfa, simulate_dfa, words_up_to
 
 
 class TestSimulateDfa:
@@ -121,6 +122,17 @@ class TestCompileBehavior:
             r = recognize(rpa, word)
             want = 1.0 if simulate_dfa(dfa, word) else 0.0
             assert r.p_accept == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("n_states", [10, 11, 12, 40])
+    def test_many_states_load_back_and_agree(self, n_states):
+        """Index symbols share one width, so a push word such as 1·0 is not also the symbol 10."""
+        dfa = random_total_dfa(n_states, "01", np.random.default_rng(n_states))
+        text = qpa_dumps(compile_dfa(dfa))
+        rpa = qpa_loads(text)
+        assert qpa_dumps(rpa) == text
+        for word in words_up_to("01", 4):
+            want = 1.0 if simulate_dfa(dfa, word) else 0.0
+            assert recognize(rpa, word).p_accept == pytest.approx(want, abs=1e-9)
 
     def test_halting_within_word_plus_four(self):
         rng = np.random.default_rng(31415)

@@ -16,7 +16,6 @@ from qpakit.evolve import (
     _fold,
     apply_evolution,
     decide,
-    initial_superposition,
     measure,
     recognize,
     trace,
@@ -24,7 +23,7 @@ from qpakit.evolve import (
 from qpakit.model import Direction, QpaError, STACK_BASE
 from qpakit.wellformed import as_general
 
-from conftest import make_spec
+from conftest import initial_superposition, make_spec
 import evolve_oracle as oracle
 
 
@@ -304,7 +303,7 @@ class TestRunLoop:
         assert len(psi) == len(psi.amplitudes) == 1
         (config,) = psi.amplitudes
         assert config == Configuration("q1", 3, (Z, "1", "2"))
-        assert psi.amplitude(config) == 1.0
+        assert psi.amplitudes.get(config, 0.0) == 1.0
         assert psi == _over(spec, "aab", {config: 1.0 + 0.0j})
 
     def test_view_of_a_run_is_read_only(self):

@@ -177,6 +177,14 @@ class TestTokenizers:
         with pytest.raises(ParseError, match="ambiguous"):
             tokenize_push("ab", frozenset({"a", "b", "ab"}))
 
+    def test_push_ambiguous_names_are_quoted(self):
+        with pytest.raises(ParseError) as short:
+            tokenize_push("10", frozenset({"1", "0", "10"}))
+        assert str(short.value) == "push word '10' is ambiguous: [('10',), ('1', '0')]"
+        with pytest.raises(ParseError) as long:
+            tokenize_push("w" * 500, frozenset({"w" * 250, "w" * 500}))
+        assert len(str(long.value).encode()) <= 400, str(long.value)
+
     def test_word_tokenizer(self):
         al = Alphabets(sigma=frozenset({"a", "b"}), t=frozenset())
         assert tokenize_word(al, "abba") == ("a", "b", "b", "a")

@@ -6,7 +6,7 @@ import pytest
 
 from qpakit import zoo
 from qpakit.dfa2rpa import compile_dfa
-from qpakit.evolve import Configuration, apply_evolution, initial_superposition
+from qpakit.evolve import Configuration, apply_evolution
 from qpakit.matrixlab import (
     WINDOW_CAP,
     TruncatedMatrix,
@@ -17,18 +17,22 @@ from qpakit.matrixlab import (
     build_matrix,
     check_truncated_unitarity,
     enumerate_window,
-    interior_row_norms,
     matrix_to_dict,
-    random_banded_isometry,
-    random_banded_matrix,
-    random_partial_permutation,
     row_norm_bound_probe,
     rows_pairwise_orthogonal_deviation,
     shift_fixture,
 )
 from qpakit.model import DEFAULT_TOL, Direction, QpaError, STACK_BASE
 
-from conftest import random_total_dfa, words_up_to
+from conftest import (
+    initial_superposition,
+    interior_row_norms,
+    random_banded_isometry,
+    random_banded_matrix,
+    random_partial_permutation,
+    random_total_dfa,
+    words_up_to,
+)
 
 Z = STACK_BASE
 

@@ -1,7 +1,10 @@
 """Model layer: amplitude literals, push-word enumeration, structural checks."""
 import math
+import string
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qpakit import zoo
 from qpakit.model import (
@@ -12,6 +15,8 @@ from qpakit.model import (
     SymbolError,
     format_amplitude,
     parse_amplitude,
+    quote,
+    quote_all,
     validate_structure,
 )
 
@@ -54,6 +59,25 @@ class TestAmplitudeLiterals:
     def test_non_finite_rejected(self, literal):
         with pytest.raises(ValueError, match="non-finite"):
             parse_amplitude(literal)
+
+
+class TestQuote:
+    @given(st.text(max_size=300) | st.text(st.characters(min_codepoint=0xE0000, max_codepoint=0xE007F), max_size=300),
+           st.integers(0, 300))
+    def test_bounded_in_bytes(self, text, at):
+        assert len(quote(text, at).encode()) <= 120
+
+    # backslash and quote characters are left out: repr doubles them, so 80 of them cannot fit 120 bytes whole
+    @given(st.text(sorted(set(string.printable[:95]) - set("\\'")), max_size=80))
+    def test_short_plain_text_is_its_repr(self, text):
+        assert quote(text) == repr(text)
+
+    @pytest.mark.parametrize("names", [[], ["a"], ["a", "b'c"], (), ("a",), ("a", "b"), ("a", "b", "c")])
+    def test_short_names_are_their_repr(self, names):
+        assert quote_all(names) == repr(names)
+
+    def test_astral_excerpt_is_shortened(self):
+        assert quote("\U000e0001" * 80) == "of 80 characters, near " + repr("\U000e0001" * 6)
 
 
 class TestPushWords:

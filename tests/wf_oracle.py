@@ -49,8 +49,8 @@ def _build_tables(spec: QpaSpec) -> _Tables:
     t.sources = [
         (q, s, tau)
         for q in sorted(spec.states)
-        for s in al.gamma_sorted()
-        for tau in al.delta_sorted()
+        for s in tuple(sorted(al.gamma))
+        for tau in tuple(sorted(al.delta_alpha))
     ]
     for src in t.sources:
         t.full[src] = {}
@@ -149,8 +149,8 @@ def _scan_column_orthogonality(spec: QpaSpec, tol: float, max_reports: int,
     t = _tables(spec)
     col = _Collector(condition_id, tol, max_reports)
     al = spec.alphabets
-    pairs = [(q, tau) for q in sorted(spec.states) for tau in al.delta_sorted()]
-    for sigma in al.gamma_sorted():
+    pairs = [(q, tau) for q in sorted(spec.states) for tau in tuple(sorted(al.delta_alpha))]
+    for sigma in tuple(sorted(al.gamma)):
         for i in range(len(pairs)):
             q1, tau1 = pairs[i]
             f1 = t.full[(q1, sigma, tau1)]
@@ -184,8 +184,8 @@ def _scan_row_norm(spec: QpaSpec, tol: float, max_reports: int) -> _Collector:
     t = _tables(spec)
     col = _Collector("RVN", tol, max_reports)
     al = spec.alphabets
-    gam = al.gamma_sorted()
-    dl = al.delta_sorted()
+    gam = tuple(sorted(al.gamma))
+    dl = tuple(sorted(al.delta_alpha))
     for q1 in sorted(spec.states):
         for s1 in gam:
             for s2 in gam:
@@ -201,9 +201,9 @@ def _scan_row_norm_simplified(spec: QpaSpec, tol: float, max_reports: int) -> _C
     col = _Collector("RVN2", tol, max_reports)
     al = spec.alphabets
     for q1 in sorted(spec.states):
-        for s1 in al.gamma_sorted():
-            for tau1 in al.delta_sorted():
-                for tau2 in al.delta_sorted():
+        for s1 in tuple(sorted(al.gamma)):
+            for tau1 in tuple(sorted(al.delta_alpha)):
+                for tau2 in tuple(sorted(al.delta_alpha)):
                     s = _row_sum(t, q1, s1, s1, tau1, tau2)
                     col.add((q1, s1, tau1, tau2), abs(s - 1.0))
     return col
@@ -216,8 +216,8 @@ def _scan_sep_shared_sigma(spec: QpaSpec, tol: float, max_reports: int,
     col_b = _Collector(id_b, tol, max_reports)
     al = spec.alphabets
     states = sorted(spec.states)
-    dl = al.delta_sorted()
-    for sigma in al.gamma_sorted():
+    dl = tuple(sorted(al.delta_alpha))
+    for sigma in tuple(sorted(al.gamma)):
         srcs = [(q, sigma, tau) for q in states for tau in dl]
         for src1 in srcs:
             singles1 = t.singles[src1]
@@ -256,7 +256,7 @@ def _scan_sep_mixed(spec: QpaSpec, tol: float, max_reports: int
     col2 = _Collector("SEP2", tol, max_reports)
     col3a = _Collector("SEP3a", tol, max_reports)
     col3b = _Collector("SEP3b", tol, max_reports)
-    dl = spec.alphabets.delta_sorted()
+    dl = tuple(sorted(spec.alphabets.delta_alpha))
     srcs = t.sources
     for src1 in srcs:
         stay1 = t.stay_w[src1]

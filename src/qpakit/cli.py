@@ -22,23 +22,30 @@ import argparse
 import csv
 import errno
 import json
+import math
 import os
 import sys
 from contextlib import nullcontext
 from pathlib import Path
 
-from . import matrixlab, zoo
-from .dfa2rpa import compile_dfa
-from .evolve import (_fold, check_max_steps, check_threshold, decide, next_above_half,
-                     recognize, result_to_dict, trace_to_dict)
+# every command loads io and model; the other modules run only for a command that uses them
+from . import dfa2rpa, evolve, matrixlab, wellformed, zoo
 from .io import load_dfa, load_qpa, read_text, save_qpa, qpa_dumps
-from .model import DEFAULT_TOL, QpaError, check_tolerance, validate_structure
-from .wellformed import check_all, summary_to_dict
+from .model import DEFAULT_TOL, QpaError, check_tolerance, quote, validate_structure
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_VIOLATIONS = 2
 EXIT_ERROR = 3
+
+
+def _late(module, name: str):
+    """``module.name``, looked up at each call, so ``module`` runs only when a command calls it."""
+    return lambda *args, **kwargs: getattr(module, name)(*args, **kwargs)
+
+
+# the recognition loop and the compiler, as names of this module that a caller can replace
+_fold, recognize, compile_dfa = _late(evolve, "_fold"), _late(evolve, "recognize"), _late(dfa2rpa, "compile_dfa")
 
 RUN_SCHEMA = {
     "type": "object",
@@ -132,8 +139,8 @@ def _want_json(args) -> bool:
 def cmd_check(args) -> int:
     spec = load_qpa(args.file)
     tol = _tolerance(args.tolerance)
-    summary = check_all(spec, tol=tol, suite="simplified" if args.simplified else None)
-    doc = summary_to_dict(summary)
+    summary = wellformed.check_all(spec, tol=tol, suite="simplified" if args.simplified else None)
+    doc = wellformed.summary_to_dict(summary)
     lines = []
     for cond in doc["conditions"]:
         status = "pass" if cond["passed"] else "FAIL"
@@ -149,11 +156,11 @@ def cmd_check(args) -> int:
 
 def cmd_run(args) -> int:
     spec = load_qpa(args.file)
-    check_threshold(args.threshold)
+    evolve.check_threshold(args.threshold)
     steps = [] if args.trace else None
     result = _fold(spec, args.word, max_steps=args.max_steps, force=args.force, trace_out=steps)
-    verdict = decide(result, args.threshold)
-    doc = {"word": args.word, **result_to_dict(result), "decision": verdict}
+    verdict = evolve.decide(result, args.threshold)
+    doc = {"word": args.word, **evolve.result_to_dict(result), "decision": verdict}
     lines = [
         f"word      {args.word!r}",
         f"p_accept  {result.p_accept:.12f}",
@@ -163,7 +170,7 @@ def cmd_run(args) -> int:
         f"decision  {verdict}",
     ]
     if steps is not None:
-        doc["trace"] = trace_to_dict(steps)
+        doc["trace"] = evolve.trace_to_dict(steps)
         for s in steps:
             lines.append(f"  step {s.step}: +acc {s.p_accept_inc:.6f} +rej {s.p_reject_inc:.6f} "
                          f"residual {s.residual_norm_squared:.6f} ({len(s.entries)} configs)")
@@ -173,15 +180,15 @@ def cmd_run(args) -> int:
 
 def cmd_batch(args) -> int:
     spec = load_qpa(args.file)
-    check_max_steps(args.max_steps)
-    check_threshold(args.threshold)
+    evolve.check_max_steps(args.max_steps)
+    evolve.check_threshold(args.threshold)
     if args.csv_out:
         _check_output_path(args.csv_out)
     words = read_text(args.words).splitlines()
     rows = []
     for word in words:
         result = recognize(spec, word, max_steps=args.max_steps, force=args.force)
-        rows.append((word, result, decide(result, args.threshold)))
+        rows.append((word, result, evolve.decide(result, args.threshold)))
     out_path = args.csv_out
     with (open(out_path, "w", newline="", encoding="utf-8") if out_path
           else nullcontext(sys.stdout)) as handle:
@@ -200,7 +207,7 @@ def cmd_batch(args) -> int:
 def cmd_compile_dfa(args) -> int:
     tol = _tolerance(args.tolerance)
     rpa = compile_dfa(load_dfa(args.infile))
-    summary = check_all(rpa, tol=tol, suite="simplified")
+    summary = wellformed.check_all(rpa, tol=tol, suite="simplified")
     if not summary.passed:
         raise QpaError(f"compiled table failed {summary.total_violations} condition checks")
     structural = validate_structure(rpa)
@@ -271,7 +278,7 @@ def cmd_zoo(args) -> int:
         return EXIT_OK
     name = args.name
     if name not in specs:
-        raise QpaError(f"unknown fixture {name!r}; have {sorted(specs)}")
+        raise QpaError(f"unknown fixture {quote(name)}; have {sorted(specs)}")
     text = qpa_dumps(specs[name])
     if args.outfile:
         Path(args.outfile).write_text(text, encoding="utf-8")
@@ -290,6 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="qpakit", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
+    above_half = math.nextafter(0.5, 1.0)     # the default threshold: a strict majority
 
     def add_common(sp):
         sp.add_argument("--json", action="store_true", help="machine-readable output")
@@ -306,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("word")
     sp.add_argument("--max-steps", type=int, default=None)
-    sp.add_argument("--threshold", type=float, default=next_above_half())
+    sp.add_argument("--threshold", type=float, default=above_half)
     sp.add_argument("--trace", action="store_true")
     sp.add_argument("--force", action="store_true",
                     help="run even if the table is not well-formed")
@@ -318,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("words")
     sp.add_argument("--csv-out", default=None)
     sp.add_argument("--max-steps", type=int, default=None)
-    sp.add_argument("--threshold", type=float, default=next_above_half())
+    sp.add_argument("--threshold", type=float, default=above_half)
     sp.add_argument("--force", action="store_true")
     sp.set_defaults(fn=cmd_batch)
 

@@ -23,9 +23,8 @@ and steps them on the same compiled rows through ``step_targets``.
 """
 from __future__ import annotations
 
-import math
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
 from types import MappingProxyType
 
 from .io import tokenize_word
@@ -57,15 +56,15 @@ class NotWellFormedError(QpaError):
         super().__init__(f"table is not well-formed; failing conditions: {failed}")
 
 
-@dataclass(frozen=True)
-class TapeContext:
-    """The framed input word; immutable for the duration of a run."""
+class TapeContext(namedtuple("TapeContext", "symbols")):
+    """The framed input word; immutable for the duration of a run.  ``len`` counts its symbols, markers included."""
 
-    symbols: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.symbols) < 2 or self.symbols[0] != LEFT_MARKER or self.symbols[-1] != RIGHT_MARKER:
+    def __new__(cls, symbols: tuple[str, ...]):
+        if len(symbols) < 2 or symbols[0] != LEFT_MARKER or symbols[-1] != RIGHT_MARKER:
             raise ValueError("tape must be a framed word with both end markers")
+        return super().__new__(cls, symbols)
 
     @classmethod
     def from_word(cls, spec: QpaSpec, word: str) -> "TapeContext":
@@ -75,11 +74,7 @@ class TapeContext:
         return len(self.symbols)
 
 
-@dataclass(frozen=True, order=True)
-class Configuration:
-    state: str
-    head: int
-    stack: tuple[str, ...]
+Configuration = namedtuple("Configuration", "state head stack")
 
 
 class _Table:
@@ -257,17 +252,11 @@ class Superposition:
         return f"Superposition(amplitudes={dict(self.amplitudes)!r})"
 
 
-@dataclass(frozen=True)
-class RecognitionResult:
-    p_accept: float
-    p_reject: float
-    p_nonhalt: float
-    steps: int
-    halted: bool
+RecognitionResult = namedtuple("RecognitionResult", "p_accept p_reject p_nonhalt steps halted")
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(namedtuple("TraceStep", "step entries p_accept_inc p_reject_inc p_accept p_reject "
+                                        "residual_norm_squared")):
     """One evolution step and its observation.
 
     ``entries`` is the superposition right after the evolution operator
@@ -276,13 +265,7 @@ class TraceStep:
     describe the observation that follows.
     """
 
-    step: int
-    entries: tuple[tuple[Configuration, complex], ...]
-    p_accept_inc: float
-    p_reject_inc: float
-    p_accept: float
-    p_reject: float
-    residual_norm_squared: float
+    __slots__ = ()
 
 
 def _initial(run: _Run) -> Superposition:
@@ -462,11 +445,6 @@ def decide(result: RecognitionResult, threshold: float) -> str:
     if result.p_reject >= threshold:
         return "rejected"
     return "inconclusive"
-
-
-def next_above_half() -> float:
-    """Smallest float strictly above 1/2; the default decision threshold."""
-    return math.nextafter(0.5, 1.0)
 
 
 def result_to_dict(result: RecognitionResult) -> dict:

@@ -151,7 +151,9 @@ def qpa_from_dict(doc: dict, validate: bool = True) -> QpaSpec:
 
     delta: dict[TransitionKey, complex] = {}
     literals: dict[TransitionKey, str] = {}
-    seen: set[tuple] = set()
+    seen: set[TransitionKey] = set()
+    pushes: dict[str, tuple[str, ...]] = {}     # each distinct push word and literal is parsed once
+    amps: dict[str, complex] = {}
     raw_trans = doc["transitions"]
     _require(isinstance(raw_trans, list), "'transitions' must be a list")
     # per-item checks format their message only when they fail
@@ -171,21 +173,24 @@ def qpa_from_dict(doc: dict, validate: bool = True) -> QpaSpec:
         d = _DIRECTIONS.get(item["dir"])
         if d is None:
             raise ParseError(f"transition {i}: bad dir {quote(item['dir'])}")
-        try:
-            omega = tokenize_push(item["push"], alphabets.delta_alpha)
-        except ParseError as exc:
-            raise ParseError(f"transition {i}: {exc}") from exc
-        try:
-            amp = parse_amplitude(item["amp"])
-        except ValueError as exc:
-            raise ParseError(f"transition {i}: {exc}") from exc
-        names = (item["from"], item["input"], item["stack_top"], item["to"], d, omega)
-        if names in seen:
+        omega = pushes.get(item["push"])
+        if omega is None:
+            try:
+                omega = pushes[item["push"]] = tokenize_push(item["push"], alphabets.delta_alpha)
+            except ParseError as exc:
+                raise ParseError(f"transition {i}: {exc}") from exc
+        amp = amps.get(item["amp"])
+        if amp is None:
+            try:
+                amp = amps[item["amp"]] = parse_amplitude(item["amp"])
+            except ValueError as exc:
+                raise ParseError(f"transition {i}: {exc}") from exc
+        key = TransitionKey(item["from"], item["input"], item["stack_top"], item["to"], d, omega)
+        if key in seen:
             raise ParseError(f"transition {i}: duplicate key")
-        seen.add(names)
+        seen.add(key)
         if amp == 0:
             continue
-        key = TransitionKey(*names)
         delta[key] = amp
         literals[key] = item["amp"]
 

@@ -39,14 +39,14 @@ triples, on their dense arrays.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 from itertools import product
 
 import numpy as np
 
 from .evolve import Configuration, TapeContext, _Run, step_targets
-from .model import ADVANCE_ID, DEFAULT_TOL, STAY_ID, QpaError, QpaSpec, check_tolerance
+from .model import ADVANCE_ID, DEFAULT_TOL, STAY_ID, QpaError, QpaSpec, _Frozen, check_tolerance
 
 WINDOW_CAP = 10 ** 6
 TEXT_MAX_DIM = 24          # largest dimension matrix_to_text prints as a grid
@@ -56,24 +56,23 @@ class WindowCapError(QpaError):
     """The requested window would exceed the configuration cap."""
 
 
-@dataclass(frozen=True)
-class ConfigWindow:
+class ConfigWindow(_Frozen, namedtuple("ConfigWindow",
+                                        "tape states stacks interior_cols interior_rows stack_limit")):
     """An ordered finite slab of configuration space for one framed tape.
 
     Configuration ``i`` is the ``i``-th of ``states`` x heads x ``stacks``, in
-    sorted order; ``configs`` and ``index`` are built on first access.
+    sorted order, and ``len`` counts them; ``configs`` and ``index`` are built
+    on first access.  ``spec`` is the automaton the window was enumerated
+    for, and ``entries`` its one-step entries inside the window as (rows,
+    cols, amplitudes) in column order; neither is compared or printed.
     """
 
-    tape: TapeContext
-    states: tuple[str, ...]
-    stacks: tuple[tuple[str, ...], ...]
-    interior_cols: frozenset[int]
-    interior_rows: frozenset[int]
-    stack_limit: int
-    # the automaton the window was enumerated for, and its one-step
-    # entries inside the window as (rows, cols, amplitudes) in column order
-    spec: QpaSpec | None = field(default=None, repr=False, compare=False)
-    entries: tuple = field(default=((), (), ()), repr=False, compare=False)
+    def __new__(cls, tape: TapeContext, states: tuple[str, ...], stacks: tuple[tuple[str, ...], ...],
+                interior_cols: frozenset[int], interior_rows: frozenset[int], stack_limit: int,
+                spec: QpaSpec | None = None, entries: tuple = ((), (), ())):
+        self = super().__new__(cls, tape, states, stacks, interior_cols, interior_rows, stack_limit)
+        vars(self).update(spec=spec, entries=entries)
+        return self
 
     def __len__(self) -> int:
         return len(self.states) * len(self.tape) * len(self.stacks)
@@ -88,30 +87,23 @@ class ConfigWindow:
         return {c: i for i, c in enumerate(self.configs)}
 
 
-@dataclass(frozen=True)
-class TruncatedMatrix:
+class TruncatedMatrix(namedtuple("TruncatedMatrix", "dim rows cols vals interior_cols interior_rows")):
     """Sparse complex matrix, one entry per position (else ``ValueError``), with interior index sets.
 
     The constructor takes any sequences and keeps int64 and complex arrays and frozensets.
     """
 
-    dim: int
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    interior_cols: frozenset[int]
-    interior_rows: frozenset[int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name, convert in (("rows", np.int64), ("cols", np.int64), ("vals", complex)):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=convert))
-        for name in ("interior_cols", "interior_rows"):
-            object.__setattr__(self, name, frozenset(getattr(self, name)))
-        at = np.multiply(self.rows, self.dim)
+    def __new__(cls, dim: int, rows, cols, vals, interior_cols, interior_rows):
+        self = super().__new__(cls, dim, np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64),
+                               np.asarray(vals, dtype=complex), frozenset(interior_cols), frozenset(interior_rows))
+        at = np.multiply(self.rows, dim)
         at += self.cols
         at.sort(kind="stable")     # loads no sort code beyond what the Gram pass loads
         if (at[1:] == at[:-1]).any():
             raise ValueError("two entries at one position")
+        return self
 
     def to_dense(self) -> np.ndarray:
         m = np.zeros((self.dim, self.dim), dtype=complex)
@@ -127,14 +119,8 @@ class TruncatedMatrix:
         ]
 
 
-@dataclass(frozen=True)
-class UnitarityReport:
-    col_deviation: float
-    row_deviation: float
-    n_interior_cols: int
-    n_interior_rows: int
-    tolerance: float
-    passed: bool
+UnitarityReport = namedtuple("UnitarityReport", "col_deviation row_deviation n_interior_cols n_interior_rows "
+                                               "tolerance passed")
 
 
 # --- windows over configuration space ----------------------------------------

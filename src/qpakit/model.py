@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 from functools import cached_property
 
@@ -101,21 +101,27 @@ ADVANCE_ID, STAY_ID = 0, 1
 _DIR_ID = {d: i for i, d in enumerate(DIRECTIONS)}
 
 
-@dataclass(frozen=True)
-class Alphabets:
+class _Frozen:
+    """Refuses attribute assignment: a record's fields are set once, when it is made."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a {type(self).__name__} is immutable")
+
+
+class Alphabets(_Frozen, namedtuple("Alphabets", "sigma t")):
     """Input alphabet, tape alphabet (with markers), stack alphabet (with base)."""
 
-    sigma: frozenset[str]
-    t: frozenset[str]
-
-    def __post_init__(self):
-        for name, syms in (("input", self.sigma), ("stack", self.t)):
+    def __new__(cls, sigma: frozenset[str], t: frozenset[str]):
+        for name, syms in (("input", sigma), ("stack", t)):
             for reserved in (LEFT_MARKER, RIGHT_MARKER, STACK_BASE):
                 if reserved in syms:
                     raise SymbolError(f"reserved symbol {reserved!r} declared in {name} alphabet")
             for s in syms:
                 if not s:
                     raise SymbolError(f"empty symbol in {name} alphabet")
+        return super().__new__(cls, sigma, t)
 
     @cached_property
     def gamma(self) -> frozenset[str]:
@@ -138,8 +144,7 @@ class Alphabets:
         return self._sorted[1]
 
 
-@dataclass(frozen=True, order=True)
-class TransitionKey:
+class TransitionKey(namedtuple("TransitionKey", "q1 sigma tau q d omega")):
     """One cell of the transition table.
 
     ``omega`` is the push word written after ``tau`` is popped; it has at
@@ -147,40 +152,33 @@ class TransitionKey:
     first.
     """
 
-    q1: str
-    sigma: str
-    tau: str
-    q: str
-    d: Direction
-    omega: tuple[str, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class StructureViolation:
-    code: str
-    message: str
-    key: TransitionKey | None = None
+StructureViolation = namedtuple("StructureViolation", "code message key", defaults=(None,))
 
 
-@dataclass(frozen=True, eq=False)
-class QpaSpec:
+class QpaSpec(_Frozen):
     """A quantum pushdown automaton as a sparse amplitude table.
 
     Immutable after construction; safe to share between workers.  The
     ``amp_literals`` map remembers the textual amplitude forms used in a
-    source document so serialization round-trips byte for byte.
+    source document so serialization round-trips byte for byte.  Specs
+    compare by identity; ``cached_on`` keeps what is derived from one in
+    its ``__dict__``, under names that start with an underscore.
     """
 
-    alphabets: Alphabets
-    states: frozenset[str]
-    q0: str
-    q_accept: frozenset[str]
-    q_reject: frozenset[str]
-    delta: dict[TransitionKey, complex]
-    kind: str = KIND_GENERAL
-    direction_fn: dict[str, Direction] | None = None
-    amp_literals: dict[TransitionKey, str] = field(default_factory=dict)
-    name: str = ""
+    def __init__(self, alphabets: Alphabets, states: frozenset[str], q0: str, q_accept: frozenset[str],
+                 q_reject: frozenset[str], delta: dict[TransitionKey, complex], kind: str = KIND_GENERAL,
+                 direction_fn: dict[str, Direction] | None = None,
+                 amp_literals: dict[TransitionKey, str] | None = None, name: str = ""):
+        vars(self).update(alphabets=alphabets, states=states, q0=q0, q_accept=q_accept, q_reject=q_reject,
+                          delta=delta, kind=kind, direction_fn=direction_fn,
+                          amp_literals={} if amp_literals is None else amp_literals, name=name)
+
+    def replace(self, **changes) -> QpaSpec:
+        """A new spec with ``changes`` to its fields and nothing cached."""
+        return QpaSpec(**{**{k: v for k, v in vars(self).items() if k[0] != "_"}, **changes})
 
     def compiled(self) -> "CompiledTable":
         """The table with its names interned and its entries sorted, cached."""
@@ -235,15 +233,12 @@ class CompiledTable:
         return out
 
 
-@dataclass(frozen=True, eq=False)
-class DfaSpec:
-    """A total deterministic finite automaton."""
+class DfaSpec(_Frozen):
+    """A total deterministic finite automaton; compared by identity."""
 
-    states: frozenset[str]
-    sigma: frozenset[str]
-    q0: str
-    finals: frozenset[str]
-    trans: dict[tuple[str, str], str]
+    def __init__(self, states: frozenset[str], sigma: frozenset[str], q0: str, finals: frozenset[str],
+                 trans: dict[tuple[str, str], str]):
+        vars(self).update(states=states, sigma=sigma, q0=q0, finals=finals, trans=trans)
 
     def validate(self) -> None:
         if self.q0 not in self.states:

@@ -33,7 +33,7 @@ raises ``StructureError`` with the structure check's violations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from functools import partial
 from itertools import product
 
@@ -64,32 +64,18 @@ class MissingDirectionError(QpaError):
     """The simplified suite needs a total direction function."""
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(namedtuple("ConditionReport", "condition_id witness residual")):
     """One violated quantifier instance: which tuple, and how far off."""
 
-    condition_id: str
-    witness: tuple
-    residual: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ConditionResult:
-    condition_id: str
-    passed: bool
-    worst_residual: float
-    violations: int
-    reports: tuple[ConditionReport, ...]
+ConditionResult = namedtuple("ConditionResult", "condition_id passed worst_residual violations reports")
 
 
-@dataclass(frozen=True)
-class ConditionSummary:
-    suite: str
-    tolerance: float
-    results: tuple[ConditionResult, ...]
-    passed: bool
-    worst_residual: float
-    total_violations: int
+class ConditionSummary(namedtuple("ConditionSummary",
+                                  "suite tolerance results passed worst_residual total_violations")):
+    __slots__ = ()
 
     def result(self, condition_id: str) -> ConditionResult:
         for r in self.results:
@@ -133,15 +119,17 @@ class _Collector:
         )
 
 
-@dataclass
 class _Source:
     """A source with entries; ``ids`` are its compiled ``(q1, sigma, tau)``."""
 
-    ids: tuple[int, int, int]
-    full: dict = field(default_factory=dict)      # (q, d, omega) -> amp
-    singles: dict = field(default_factory=dict)   # (q, d, sym) -> amp
-    doubles: dict = field(default_factory=dict)   # (q, d, s0, s1) -> amp
-    eps: dict = field(default_factory=dict)       # (q, d) -> amp
+    __slots__ = ("ids", "full", "singles", "doubles", "eps")
+
+    def __init__(self, ids: tuple[int, int, int]):
+        self.ids = ids
+        self.full: dict = {}      # (q, d, omega) -> amp
+        self.singles: dict = {}   # (q, d, sym) -> amp
+        self.doubles: dict = {}   # (q, d, s0, s1) -> amp
+        self.eps: dict = {}       # (q, d) -> amp
 
 
 class _Index:
@@ -457,7 +445,7 @@ def as_general(spec: QpaSpec) -> QpaSpec:
     none of which depends on the kind; summaries are memoized per view.
     """
     spec.compiled()
-    view = replace(spec, kind=KIND_GENERAL)
+    view = spec.replace(kind=KIND_GENERAL)
     for attr in ("_compiled", "_int_table", "_wf_index"):
         if attr in spec.__dict__:
             object.__setattr__(view, attr, spec.__dict__[attr])

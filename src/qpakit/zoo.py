@@ -29,9 +29,8 @@ same step on every word, which is what makes the cancellation exact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
-from typing import Callable
 
 from .model import (
     Alphabets,
@@ -55,17 +54,11 @@ _Z = STACK_BASE
 _STACK_SYMS = ("1", "2")
 
 
-@dataclass(frozen=True)
-class ZooEntry:
-    name: str
-    spec: QpaSpec
-    language_oracle: Callable[[str], bool]
-    claimed_probability: float
-    description: str
+# ``language_oracle`` maps a word to its membership
+ZooEntry = namedtuple("ZooEntry", "name spec language_oracle claimed_probability description")
 
 
-@dataclass(frozen=True)
-class ComparatorTable:
+class ComparatorTable(namedtuple("ComparatorTable", "x y ignore scan up down accept reject entries directions")):
     """Reversible sub-table comparing the counts of two symbols.
 
     ``scan`` is the balanced state; ``up`` holds a surplus of ``x`` as
@@ -73,19 +66,12 @@ class ComparatorTable:
     ``Z0 2 1 1 ...``.  All three advance, so every symbol of the word
     costs exactly one step.  ``accept`` and ``reject`` are the staying
     end-marker outcomes for balanced and unbalanced counters.  Symbols in
-    ``ignore`` pass through without touching the stack.
+    ``ignore`` pass through without touching the stack.  ``entries`` are
+    rows ``(q1, sigma, tau, q, omega)`` and ``directions`` maps each state
+    to its direction.
     """
 
-    x: str
-    y: str
-    ignore: tuple[str, ...]
-    scan: str
-    up: str
-    down: str
-    accept: str
-    reject: str
-    entries: tuple[tuple[str, str, str, str, tuple[str, ...]], ...]
-    directions: dict[str, Direction]
+    __slots__ = ()
 
     @property
     def states(self) -> tuple[str, str, str, str, str]:

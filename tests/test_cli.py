@@ -645,3 +645,9 @@ class TestErrorBoundary:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert len(err.encode()) <= 200 and err.endswith(" at position 0\n"), err
+
+    def test_long_fixture_name_gives_a_bounded_message(self, tmp_path, capsys):
+        assert main(["zoo", "export", "w" * 500, str(tmp_path / "out.json")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown fixture ") and err.count("\n") == 1, err
+        assert len(err.encode()) <= 200 and "of 500 characters, near 'wwwwwwwwwwww'" in err, err

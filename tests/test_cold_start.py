@@ -1,4 +1,6 @@
-"""Cold start: numpy loads only with the matrix lab, and scipy never loads."""
+"""Cold start: a command runs only the qpakit modules it uses, numpy loads only with the matrix
+lab, scipy never loads, and the commands that need no numpy load neither ``dataclasses`` nor
+``inspect``."""
 import json
 import os
 import subprocess
@@ -14,8 +16,10 @@ from qpakit.model import DfaSpec
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# Runs one command in a fresh interpreter, then reports its exit code and
-# which of the heavy modules it left loaded, as the last line of stderr.
+# Runs one command in a fresh interpreter, then reports its exit code, which
+# of the heavy modules it left loaded, and which of dataclasses, inspect and
+# the qpakit submodules it ran (exec puts __builtins__ in a namespace), as the
+# last line of stderr.
 CHILD = """\
 import json, sys
 from qpakit.cli import main
@@ -23,7 +27,10 @@ try:
     code = main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([code, sorted(m for m in ("numpy", "scipy") if m in sys.modules)]), file=sys.stderr)
+print(json.dumps([code, sorted(m for m in ("numpy", "scipy") if m in sys.modules),
+                  sorted(m for m, mod in sys.modules.items()
+                         if m in ("dataclasses", "inspect") or m.startswith("qpakit.") and "__builtins__" in vars(mod))]),
+      file=sys.stderr)
 """
 
 MATRIXLAB_NAMES = [
@@ -54,7 +61,7 @@ def _python(code, *argv, cwd=None):
 
 def _run_fresh(workdir, *argv):
     out = _python(CHILD, *argv, cwd=workdir)
-    code, heavy = json.loads(out.stderr.splitlines()[-1])
+    code, heavy, _ = json.loads(out.stderr.splitlines()[-1])
     return code, heavy, out.stdout
 
 
@@ -77,6 +84,21 @@ def test_matrix_loads_numpy_and_still_verifies(workdir):
     assert code == 0
     assert heavy == ["numpy"]
     assert json.loads(stdout)["verify"]["passed"] is True
+
+
+@pytest.mark.parametrize("argv, ran", [
+    (["check", "l5.json"], ["cli", "io", "model", "wellformed"]),
+    (["run", "l2.json", "aabb"], ["cli", "evolve", "io", "model", "wellformed"]),
+    (["batch", "l2.json", "words.txt"], ["cli", "evolve", "io", "model", "wellformed"]),
+    (["compile-dfa", "dfa.json", "compiled.json"], ["cli", "dfa2rpa", "io", "model", "wellformed"]),
+    (["zoo", "list"], ["cli", "io", "model", "zoo"]),
+], ids=["check", "run", "batch", "compile-dfa", "zoo"])
+def test_command_runs_only_the_modules_it_uses(workdir, argv, ran):
+    # neither dataclasses nor inspect, and of qpakit only what the command calls
+    out = _python(CHILD, *argv, cwd=workdir)
+    code, _, executed = json.loads(out.stderr.splitlines()[-1])
+    assert code == 0
+    assert executed == [f"qpakit.{m}" for m in ran]
 
 
 class TestLazyNames:
@@ -115,23 +137,31 @@ class TestLazyNames:
                 "assert 'numpy' in sys.modules and 'scipy' not in sys.modules\n")
 
     def test_concurrent_first_use(self):
-        # every thread must see the fully loaded module, however the first uses interleave
-        _python("import threading\n"
+        # every thread must see the whole module run, however the first uses interleave;
+        # evolve loads io, model and wellformed while it runs, and defines TapeOverrunError early
+        _python("import sys, threading, time\n"
                 "import qpakit\n"
-                "got, errors = [], []\n"
-                "def use(k):\n"
-                "    try:\n"
-                "        got.append(qpakit.build_matrix if k % 2 else qpakit.matrixlab.build_matrix)\n"
-                "    except Exception as exc:\n"
-                "        errors.append(repr(exc))\n"
-                "threads = [threading.Thread(target=use, args=(k,)) for k in range(8)]\n"
-                "for t in threads:\n"
-                "    t.start()\n"
-                "for t in threads:\n"
-                "    t.join(60)\n"
-                "assert not any(t.is_alive() for t in threads)\n"
-                "assert errors == [], errors\n"
-                "assert len(got) == 8 and all(f is qpakit.matrixlab.build_matrix for f in got)\n")
+                "sys.setswitchinterval(1e-6)\n"
+                "for owner, names in ((qpakit.evolve, ['recognize', 'TapeOverrunError']),\n"
+                "                     (qpakit.matrixlab, ['build_matrix', 'WindowCapError'])):\n"
+                "    got, errors, start = [], [], threading.Barrier(8)\n"
+                "    def use(k):\n"
+                "        start.wait(60)\n"
+                "        try:\n"
+                "            name = names[k % 2]\n"
+                "            got.append((name, getattr(qpakit if k % 4 < 2 else owner, name), len(vars(owner))))\n"
+                "        except Exception as exc:\n"
+                "            errors.append(repr(exc))\n"
+                "    threads = [threading.Thread(target=use, args=(k,), daemon=True) for k in range(8)]\n"
+                "    for t in threads:\n"
+                "        t.start()\n"
+                "    deadline = time.monotonic() + 60\n"
+                "    for t in threads:\n"
+                "        t.join(max(0, deadline - time.monotonic()))\n"
+                "    assert not any(t.is_alive() for t in threads), names\n"
+                "    assert errors == [], errors\n"
+                "    assert len(got) == 8 and all(f is getattr(owner, name) for name, f, _ in got)\n"
+                "    assert [n for *_, n in got] == [len(vars(owner))] * 8, got\n")
 
     def test_unknown_attribute(self):
         with pytest.raises(AttributeError, match="no attribute 'build_matrices'"):

@@ -6,7 +6,6 @@ configuration and both amplitude parts) must match in order.  Runs that
 raise must raise the same exception type with the same message.
 """
 import cmath
-import dataclasses
 
 import numpy as np
 import pytest
@@ -139,7 +138,7 @@ def test_forced_perturbed_l5(phases, scale, word):
     for i, phase in enumerate(phases):
         k = keys[(i * 37) % len(keys)]
         delta[k] = scale * delta[k] * cmath.exp(1j * phase)
-    assert_same_run(dataclasses.replace(spec, delta=delta), word, force=True)
+    assert_same_run(spec.replace(delta=delta), word, force=True)
 
 
 STATES = ("p", "q", "r")
@@ -214,6 +213,6 @@ def test_forced_non_finite_entries(name, bad):
     for k in (first, keys[len(keys) // 3], keys[-1]):
         delta = dict(spec.delta)
         delta[k] = bad
-        forced = dataclasses.replace(spec, delta=delta)
+        forced = spec.replace(delta=delta)
         for word in words(spec.alphabets.sigma, 3):
             assert_same_run(forced, word, force=True, max_steps=12)

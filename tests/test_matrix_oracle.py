@@ -6,7 +6,6 @@ for bit, since a product with the matrix sums them in array order.  Windows that
 must raise the same exception type with the same message.
 """
 import cmath
-import dataclasses
 
 import numpy as np
 import pytest
@@ -90,11 +89,11 @@ def test_perturbed_l3_l5(name, word, radius, data):
         if mode == "rotate":
             delta[k] = data.draw(st.floats(0.5, 1.0)) * amp * cmath.exp(1j * data.draw(st.floats(0, 6.3)))
         elif mode == "redirect":
-            delta[dataclasses.replace(k, q=data.draw(st.sampled_from(sorted(spec.states))))] = amp
+            delta[k._replace(q=data.draw(st.sampled_from(sorted(spec.states))))] = amp
         elif mode == "repush":
             pushes = enumerate_push_words(k.tau, spec.alphabets)
-            delta[dataclasses.replace(k, omega=data.draw(st.sampled_from(pushes)))] = amp
-    assert_same(dataclasses.replace(spec, delta=delta), word, radius)
+            delta[k._replace(omega=data.draw(st.sampled_from(pushes)))] = amp
+    assert_same(spec.replace(delta=delta), word, radius)
 
 
 DECLARED = ("p", "q")

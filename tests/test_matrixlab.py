@@ -413,7 +413,6 @@ class TestDualityUnderMutation:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_checker_and_matrix_agree(self, seed):
-        from dataclasses import replace
         from qpakit.wellformed import check_all
 
         rng = np.random.default_rng(9000 + seed)
@@ -434,9 +433,9 @@ class TestDualityUnderMutation:
             others = sorted(base.states - {key.q})
             new_q = others[int(rng.integers(0, len(others)))]
             del delta[key]
-            delta[replace(key, q=new_q)] = 1.0 + 0.0j
+            delta[key._replace(q=new_q)] = 1.0 + 0.0j
             expect_pass = False
-        mutated = replace(base, kind="general", delta=delta, amp_literals={})
+        mutated = base.replace(kind="general", delta=delta, amp_literals={})
         checker = check_all(mutated).passed
         window = enumerate_window(mutated, word, 4)
         matrix_ok = check_truncated_unitarity(build_matrix(mutated, window), tol=1e-8).passed

@@ -4,7 +4,6 @@ Every subject is checked under nine settings (three tolerances times
 three report caps); the JSON of each summary must equal the oracle's.
 """
 import cmath
-import dataclasses
 import json
 import math
 
@@ -33,7 +32,7 @@ def assert_matches_oracle(spec, suite):
 
 
 def scaled(spec, factor):
-    return dataclasses.replace(spec, delta={k: factor * v for k, v in spec.delta.items()})
+    return spec.replace(delta={k: factor * v for k, v in spec.delta.items()})
 
 
 @pytest.mark.parametrize("name", ["l1", "l2", "l3", "l5"])
@@ -78,11 +77,11 @@ def perturbed_zoo(draw):
         key = keys[i]
         amp = delta.pop(key) * draw(FACTORS)
         if draw(st.booleans()):
-            key = dataclasses.replace(
-                key, q=draw(st.sampled_from(states)), d=draw(st.sampled_from(list(Direction))),
+            key = key._replace(
+                q=draw(st.sampled_from(states)), d=draw(st.sampled_from(list(Direction))),
                 omega=draw(st.sampled_from(enumerate_push_words(key.tau, spec.alphabets))))
         delta[key] = amp
-    return dataclasses.replace(spec, delta=delta)
+    return spec.replace(delta=delta)
 
 
 @settings(max_examples=12, deadline=None)

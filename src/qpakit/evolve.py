@@ -19,7 +19,7 @@ depth.  A ``Superposition`` is always a run's packed map, and
 ``Superposition.over`` packs configurations into one.  ``Configuration``
 and ``Superposition.amplitudes`` are the public view, built only when
 asked for; the matrix lab interns its window's stacks in a run's trie
-and steps them on the same compiled rows through ``step_targets``.
+and steps the window on the same rows in one ``step_targets`` call.
 """
 from __future__ import annotations
 
@@ -140,7 +140,7 @@ class _Run:
         self.child: dict[int, int] = {}
         self._tuples: dict[int, tuple[str, ...]] = {0: ()}
         hq_mask = (1 << self.hshift) - 1
-        # everything apply_evolution reads, unpacked in one go per step
+        # everything apply_evolution and step_targets read, unpacked once per step or window
         self.step_ctx = (rows, self.top, self.parent, self.child, self.hshift, self.hq_max,
                          table.sym_bits, hq_mask, hq_mask & ~((1 << table.qbits) - 1))
         self.set_halting(spec.q_accept, spec.q_reject)
@@ -313,33 +313,41 @@ def apply_evolution(spec: QpaSpec, tape: TapeContext, psi: Superposition,
     return Superposition(run, out)
 
 
-def step_targets(run: _Run, key: int) -> tuple[list[tuple[int, complex]], bool]:
-    """Successor keys of one packed configuration with amplitudes, plus an overrun flag.
+def step_targets(run: _Run, keys: list[int]) -> tuple[list[int], list[int], list[complex], list[int]]:
+    """One step of every packed configuration in ``keys``, on the rows ``apply_evolution`` steps with.
 
-    Reads the rows ``apply_evolution`` steps with.  The flag is set when an
-    entry advances off the right end of the tape; such a branch has no target.
+    Returns ``(rows, cols, amplitudes, interior_cols)`` over positions in ``keys``, in column order; a
+    successor outside ``keys`` has no entry.  A column is interior when all its successors are in ``keys``
+    and no branch advances off the right end of the tape; such a branch has no target.
     """
-    rows, top, parent, _, hshift, hq_max, _, hq_mask, head_mask = run.step_ctx
-    sid = key >> hshift
-    by_top = rows[key & hq_mask]
-    entries = None if by_top is None else by_top.get(top[sid])
-    if entries is None:
-        return [], False
-    hb = key & head_mask
-    out = []
-    overran = False
-    for dhq, pops, pushed, amp, based in entries:
-        hq = hb + dhq
-        if hq > hq_max:
-            overran = True
-            continue
-        if not based:
-            raise run.step_error(key, None, entries)
-        s = parent[sid] if pops else sid
-        for sym in pushed:
-            s = run.push(s, sym)
-        out.append(((s << hshift) | hq, amp))
-    return out, overran
+    by_hq, top, parent, child, hshift, hq_max, sym_bits, hq_mask, head_mask = run.step_ctx
+    by_key = dict(zip(keys, range(len(keys))))
+    rows, cols, vals, interior = [], [], [], []
+    for c_idx, key in enumerate(keys):
+        sid, by_top = key >> hshift, by_hq[key & hq_mask]
+        entries = None if by_top is None else by_top.get(top[sid])
+        inside = True
+        for dhq, pops, pushed, amp, based in entries or ():
+            hq = (key & head_mask) + dhq
+            if hq > hq_max:
+                inside = False
+                continue
+            if not based:
+                raise run.step_error(key, None, entries)
+            s = parent[sid] if pops else sid
+            for sym in pushed:
+                c = child.get((s << sym_bits) | sym)
+                s = run.push(s, sym) if c is None else c
+            r_idx = by_key.get((s << hshift) | hq)
+            if r_idx is None:
+                inside = False
+            else:
+                rows.append(r_idx)
+                cols.append(c_idx)
+                vals.append(amp)
+        if inside:
+            interior.append(c_idx)
+    return rows, cols, vals, interior
 
 
 def measure(psi: Superposition, q_accept: frozenset[str], q_reject: frozenset[str]

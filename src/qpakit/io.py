@@ -73,7 +73,7 @@ def tokenize_push(text: str, stack_symbols: frozenset[str]) -> tuple[str, ...]:
     if not options:
         raise ParseError(f"push word {quote(text)} is not a sequence of declared stack symbols")
     if len(options) > 1:
-        raise ParseError(f"push word {quote(text)} is ambiguous: [{', '.join(map(quote_all, options))}]")
+        raise ParseError(f"push word {quote(text)} is ambiguous: {quote_all(options, quote_all)}")
     return options[0]
 
 

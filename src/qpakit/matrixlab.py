@@ -166,23 +166,9 @@ def enumerate_window(spec: QpaSpec, word: str, radius: int, cap: int = WINDOW_CA
     states, heads = [q for q, ok in zip(ids.states, ids.state_ok) if ok], range(len(tape))
     # configuration b * len(stacks) + j is block b = (state, head) on stack j
     blocks = [(h << run.qbits) | ids.state_id[q] for q in states for h in heads]
-    keys = [hq | (sid << run.hshift) for hq in blocks for sid, _ in stacks]
-    by_key = dict(zip(keys, range(len(keys))))
-    interior_cols = []
-    rows, cols, vals = [], [], []
-    for c_idx, key in enumerate(keys):
-        targets, overran = step_targets(run, key)
-        inside = not overran
-        for target, amp in targets:
-            r_idx = by_key.get(target)
-            if r_idx is None:
-                inside = False
-            else:
-                rows.append(r_idx)
-                cols.append(c_idx)
-                vals.append(amp)
-        if inside:
-            interior_cols.append(c_idx)
+    lifted = [sid << run.hshift for sid, _ in stacks]
+    keys = [hq | sk for hq in blocks for sk in lifted]
+    rows, cols, vals, interior_cols = step_targets(run, keys)
 
     # The entries whose source can lie outside the window (module docstring), by (q, sigma, d) ids
     deeper, outside = set(), {}
@@ -203,8 +189,8 @@ def enumerate_window(spec: QpaSpec, word: str, radius: int, cap: int = WINDOW_CA
         block = range(b * len(stacks), (b + 1) * len(stacks))
         interior_rows += block if not (full or foreign) else [
             i for i, (_, s) in zip(block, stacks)
-            if not (full and len(s) == stack_limit) and not any(
-                s[len(s) - len(w):] == w and based == (len(s) == len(w)) for w, based in foreign)]
+            if not (full and len(s) == stack_limit) and not (foreign and any(
+                s[len(s) - len(w):] == w and based == (len(s) == len(w)) for w, based in foreign))]
 
     return ConfigWindow(tape=tape, states=tuple(states), stacks=tuple(s for _, s in stacks),
                         interior_cols=frozenset(interior_cols), interior_rows=frozenset(interior_rows),

@@ -38,6 +38,7 @@ KINDS = (KIND_GENERAL, KIND_SIMPLIFIED, KIND_REVERSIBLE)
 DEFAULT_TOL = 1e-9    # the one bound on residuals: condition sums, Gram and row deviations, amplitude moduli
 QUOTE_LIMIT = 80      # a longer text is quoted in an error by its length and at most 24 of its characters
 QUOTE_BYTES = 120     # the most UTF-8 bytes a quoted text takes in an error
+NAMES_BYTES = 100     # the most UTF-8 bytes a list of names takes in an error, unless its first name takes more
 
 
 def check_tolerance(tol: float) -> float:
@@ -58,10 +59,15 @@ def quote(text: str, at: int = 0) -> str:
     return f"of {len(text)} characters, near {near}"
 
 
-def quote_all(names: list[str] | tuple[str, ...]) -> str:
-    """``repr(names)`` of a list or tuple of names, each through ``quote``."""
-    inner = ", ".join(map(quote, names)) + ("," if isinstance(names, tuple) and len(names) == 1 else "")
-    return f"[{inner}]" if isinstance(names, list) else f"({inner})"
+def quote_all(names: list | tuple, each=quote) -> str:
+    """``repr(names)``, each name through ``each``; a list past ``NAMES_BYTES`` bytes shows the names that fit and counts the rest."""
+    parts = [each(n) for n in names]
+    shown = 1 if isinstance(names, list) and len(", ".join(parts).encode()) + 2 > NAMES_BYTES else len(parts)
+    while shown + 1 < len(parts) and len(
+            f"[{', '.join(parts[:shown + 1])}, and {len(parts) - shown - 1} more]".encode()) <= NAMES_BYTES:
+        shown += 1
+    inner = ", ".join(parts[:shown]) + f", and {len(parts) - shown} more" * (shown < len(parts))
+    return f"[{inner}]" if isinstance(names, list) else f"({inner}{',' * (len(parts) == 1)})"
 
 
 class QpaError(Exception):

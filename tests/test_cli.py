@@ -651,3 +651,23 @@ class TestErrorBoundary:
         err = capsys.readouterr().err
         assert err.startswith("error: unknown fixture ") and err.count("\n") == 1, err
         assert len(err.encode()) <= 200 and "of 500 characters, near 'wwwwwwwwwwww'" in err, err
+
+    @pytest.mark.parametrize("probe, shown", [
+        ("fields", "unknown fields ['field0', 'field1', "),
+        ("push", "is ambiguous: [('xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx',), "),
+        ("direction", "undeclared states ['ghost0', 'ghost1', ")], ids=["fields", "push", "direction"])
+    def test_long_name_list_gives_a_bounded_message(self, probe, shown, files, tmp_path, capsys):
+        doc = json.loads(Path(files["l2"]).read_text(encoding="utf-8"))
+        if probe == "fields":
+            doc.update({f"field{i}": 1 for i in range(300)})
+        elif probe == "push":       # x * 40 splits 40 ways over the symbols x .. x * 40, and is one itself
+            doc["stack_alphabet"] = ["x" * k for k in range(1, 41)]
+            doc["transitions"][0].update(stack_top="Z0", push="x" * 40)
+        else:
+            doc["direction"].update({f"ghost{i}": "stay" for i in range(300)})
+        path = tmp_path / "names.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["check", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert len(err.encode()) <= 200 and shown in err and err.endswith(" more]\n"), err

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qpakit import zoo
+from qpakit import matrixlab, zoo
 from qpakit.dfa2rpa import compile_dfa
 from qpakit.evolve import Configuration, apply_evolution
 from qpakit.matrixlab import (
@@ -25,8 +25,11 @@ from qpakit.matrixlab import (
 from qpakit.model import DEFAULT_TOL, Direction, QpaError, STACK_BASE
 
 from conftest import (
+    ADV,
+    STAY,
     initial_superposition,
     interior_row_norms,
+    make_spec,
     random_banded_isometry,
     random_banded_matrix,
     random_partial_permutation,
@@ -75,6 +78,30 @@ class TestWindow:
         w = enumerate_window(spec, "1", 2)
         for i in w.interior_rows:
             assert w.configs[i].head >= 1
+
+    def test_one_step_targets_call_per_window(self, monkeypatch):
+        calls = []
+        original = matrixlab.step_targets
+
+        def counted(run, keys):
+            calls.append(len(keys))
+            return original(run, keys)
+
+        monkeypatch.setattr(matrixlab, "step_targets", counted)
+        w = enumerate_window(zoo.l2_rpa().spec, "ab", 2)
+        assert calls == [len(w)]
+
+    def test_a_branch_off_the_tape_leaves_its_column_boundary_with_its_inside_entry(self):
+        # on $, q splits: one branch advances past the end marker, the other stays in the window
+        amp = 2 ** -0.5
+        spec = make_spec(sigma={"a"}, t=(), states={"q", "r"}, q0="q", q_acc=(), q_rej=(),
+                         entries=[("q", "$", Z, "q", ADV, (Z,), amp), ("q", "$", Z, "r", STAY, (Z,), amp)])
+        w = enumerate_window(spec, "", 0)
+        col = w.index[Configuration("q", 1, (Z,))]
+        row = w.index[Configuration("r", 1, (Z,))]
+        assert col not in w.interior_cols
+        dense = build_matrix(spec, w).to_dense()
+        assert dense[:, col].tolist() == [amp if i == row else 0 for i in range(len(w))]
 
 
 class TestBuildMatrix:

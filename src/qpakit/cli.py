@@ -239,12 +239,7 @@ def cmd_matrix(args) -> int:
     code = EXIT_OK
     if args.verify:
         report = matrixlab.check_truncated_unitarity(matrix, tol=tol)
-        doc["verify"] = {
-            "col_deviation": report.col_deviation,
-            "row_deviation": report.row_deviation,
-            "tolerance": report.tolerance,
-            "passed": report.passed,
-        }
+        doc["verify"] = {k: getattr(report, k) for k in ("col_deviation", "row_deviation", "tolerance", "passed")}
         lines.append(f"interior column deviation {report.col_deviation:.3e}")
         lines.append(f"interior row deviation    {report.row_deviation:.3e}")
         lines.append("verdict: " + ("unitary within tolerance" if report.passed else "NOT unitary"))

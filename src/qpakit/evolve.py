@@ -18,8 +18,8 @@ packing (stack id, head, state), so a step costs the same at any stack
 depth.  A ``Superposition`` is always a run's packed map, and
 ``Superposition.over`` packs configurations into one.  ``Configuration``
 and ``Superposition.amplitudes`` are the public view, built only when
-asked for; the matrix lab interns its window's stacks in a run's trie
-and steps the window on the same rows in one ``step_targets`` call.
+asked for.  The matrix lab steps its windows on the same compiled rows
+(``_table``), as arrays over a window's layout.
 """
 from __future__ import annotations
 
@@ -140,7 +140,7 @@ class _Run:
         self.child: dict[int, int] = {}
         self._tuples: dict[int, tuple[str, ...]] = {0: ()}
         hq_mask = (1 << self.hshift) - 1
-        # everything apply_evolution and step_targets read, unpacked once per step or window
+        # everything apply_evolution reads, unpacked once per step
         self.step_ctx = (rows, self.top, self.parent, self.child, self.hshift, self.hq_max,
                          table.sym_bits, hq_mask, hq_mask & ~((1 << table.qbits) - 1))
         self.set_halting(spec.q_accept, spec.q_reject)
@@ -313,43 +313,6 @@ def apply_evolution(spec: QpaSpec, tape: TapeContext, psi: Superposition,
     return Superposition(run, out)
 
 
-def step_targets(run: _Run, keys: list[int]) -> tuple[list[int], list[int], list[complex], list[int]]:
-    """One step of every packed configuration in ``keys``, on the rows ``apply_evolution`` steps with.
-
-    Returns ``(rows, cols, amplitudes, interior_cols)`` over positions in ``keys``, in column order; a
-    successor outside ``keys`` has no entry.  A column is interior when all its successors are in ``keys``
-    and no branch advances off the right end of the tape; such a branch has no target.
-    """
-    by_hq, top, parent, child, hshift, hq_max, sym_bits, hq_mask, head_mask = run.step_ctx
-    by_key = dict(zip(keys, range(len(keys))))
-    rows, cols, vals, interior = [], [], [], []
-    for c_idx, key in enumerate(keys):
-        sid, by_top = key >> hshift, by_hq[key & hq_mask]
-        entries = None if by_top is None else by_top.get(top[sid])
-        inside = True
-        for dhq, pops, pushed, amp, based in entries or ():
-            hq = (key & head_mask) + dhq
-            if hq > hq_max:
-                inside = False
-                continue
-            if not based:
-                raise run.step_error(key, None, entries)
-            s = parent[sid] if pops else sid
-            for sym in pushed:
-                c = child.get((s << sym_bits) | sym)
-                s = run.push(s, sym) if c is None else c
-            r_idx = by_key.get((s << hshift) | hq)
-            if r_idx is None:
-                inside = False
-            else:
-                rows.append(r_idx)
-                cols.append(c_idx)
-                vals.append(amp)
-        if inside:
-            interior.append(c_idx)
-    return rows, cols, vals, interior
-
-
 def measure(psi: Superposition, q_accept: frozenset[str], q_reject: frozenset[str]
             ) -> tuple[float, float, Superposition]:
     """Observe against the accept / reject / non-halting decomposition.
@@ -456,34 +419,12 @@ def decide(result: RecognitionResult, threshold: float) -> str:
 
 
 def result_to_dict(result: RecognitionResult) -> dict:
-    return {
-        "p_accept": result.p_accept,
-        "p_reject": result.p_reject,
-        "p_nonhalt": result.p_nonhalt,
-        "steps": result.steps,
-        "halted": result.halted,
-    }
+    return result._asdict()
 
 
 def trace_to_dict(steps: list[TraceStep]) -> list[dict]:
-    return [
-        {
-            "step": s.step,
-            "p_accept_inc": s.p_accept_inc,
-            "p_reject_inc": s.p_reject_inc,
-            "p_accept": s.p_accept,
-            "p_reject": s.p_reject,
-            "residual_norm_squared": s.residual_norm_squared,
-            "superposition": [
-                {
-                    "state": c.state,
-                    "head": c.head,
-                    "stack": list(c.stack),
-                    "re": a.real,
-                    "im": a.imag,
-                }
-                for c, a in s.entries
-            ],
-        }
-        for s in steps
-    ]
+    """Each step's fields in record order, its ``entries`` as the ``superposition`` list last."""
+    return [{**{k: v for k, v in s._asdict().items() if k != "entries"},
+             "superposition": [{"state": c.state, "head": c.head, "stack": list(c.stack), "re": a.real, "im": a.imag}
+                               for c, a in s.entries]}
+            for s in steps]

@@ -22,15 +22,15 @@ interior indices, where truncation cannot fake or hide a deviation:
   holds, so the test is exact.
 
 The lab reads a spec's transitions only through its compiled table: its
-declared ids, run rows (the columns) and entries (the interior rows).  Window
-stacks are interned once each, by one push from the parent on a run's
-stack trie.  A window holds only its layout (sorted states, the tape's
-heads, the stacks); its ``configs`` and ``index`` views are built on
-first access, and nothing on the way to the matrix and its check reads
-them.  Deviations are judged against the condition suite's tolerance,
-``model.DEFAULT_TOL`` by default, so a table and its windows get one
-verdict.  Documentation elsewhere labels rows and columns
-1-based; all indices in this module are 0-based.
+declared ids, run rows (the columns) and entries (the interior rows).  A
+window holds only its layout (sorted states, the tape's heads, the stacks,
+enumerated once in sorted order), and its columns are stepped as arrays
+over that layout: a configuration's successor is index arithmetic on its
+position.  The ``configs`` and ``index`` views are built on first access,
+and nothing on the way to the matrix and its check reads them.  Deviations
+are judged against the condition suite's tolerance, ``model.DEFAULT_TOL`` by
+default, so a table and its windows get one verdict.  Documentation elsewhere
+labels rows and columns 1-based; all indices in this module are 0-based.
 
 The module also ships the standalone fixture used to probe the banded
 matrix facts, a shifted column-isometry whose truncations satisfy
@@ -45,15 +45,15 @@ from itertools import product
 
 import numpy as np
 
-from .evolve import Configuration, TapeContext, _Run, step_targets
-from .model import ADVANCE_ID, DEFAULT_TOL, STAY_ID, QpaError, QpaSpec, _Frozen, check_tolerance
+from .evolve import Configuration, TapeContext, _Run, _table
+from .model import ADVANCE_ID, DEFAULT_TOL, STAY_ID, QpaError, QpaSpec, _Frozen, cached_on, check_tolerance
 
 WINDOW_CAP = 10 ** 6
 TEXT_MAX_DIM = 24          # largest dimension matrix_to_text prints as a grid
 
 
 class WindowCapError(QpaError):
-    """The requested window would exceed the configuration cap."""
+    """The requested window would exceed the cap on its configurations or stack symbols."""
 
 
 class ConfigWindow(_Frozen, namedtuple("ConfigWindow",
@@ -131,6 +131,46 @@ def _count_stacks(n_symbols: int, stack_limit: int) -> int:
     return stack_limit if n_symbols == 1 else (n_symbols ** stack_limit - 1) // (n_symbols - 1)
 
 
+def _count_symbols(n: int, d: int) -> int:
+    """Symbols on all stacks of depth 1 to ``d`` over ``n`` non-base symbols: the sum of i * n ** (i - 1)."""
+    return d * (d + 1) // 2 if n == 1 else (d * n ** (d + 1) - (d + 1) * n ** d + 1) // (n - 1) ** 2
+
+
+class _Steps:
+    """A spec's run rows (``evolve._Table``) as flat arrays; built once and cached on the spec.
+
+    Per entry, in table order: ``entries``, ``adv``, ``target``, ``pops``, ``push`` (child-table columns,
+    see ``enumerate_window``, padded with -1), ``amp`` and ``based``.  Group ``g`` is the rows of the (state,
+    tape, top) ids coded ``codes[g]``, ascending: ``count[g]`` entries from ``start[g]``; the group after the
+    last is empty, under a sentinel code.  ``slot`` is a state id's place in a window, -1 if undeclared.
+    """
+
+    def __init__(self, spec: QpaSpec):
+        table = _table(spec)
+        self.ids = ids = table.ids
+        self.digits = [y for y, ok in enumerate(ids.sym_ok) if ok and y != ids.base]
+        col = {y: i for i, y in enumerate(self.digits)}
+        self.entries = es = [e for q, t, y in ids.sources for e in table.rows[t][q][y]]
+        self.codes = np.array([(q * len(ids.tapes) + t) * len(ids.syms) + y for q, t, y in ids.sources] + [2 ** 62])
+        self.count = np.array([len(group) for group in ids.sources.values()] + [0])
+        self.start = np.cumsum(self.count) - self.count
+        dhq = np.array([e[0] for e in es], dtype=np.int64)
+        self.adv, self.target = dhq >> table.qbits, dhq & ((1 << table.qbits) - 1)
+        self.pops, self.based = (np.array([e[i] for e in es], dtype=bool) for i in (1, 4))
+        self.amp = np.array([e[3] for e in es], dtype=complex)
+        w = max((len(e[2]) for e in es), default=0)
+        self.push = np.array([[col.get(y, len(col)) for y in e[2]] + [-1] * (w - len(e[2])) for e in es],
+                             dtype=np.int64).reshape(len(es), w)
+        self.slot = np.where(ids.state_ok, np.cumsum(ids.state_ok) - 1, -1)
+        # the entries whose source can lie outside a window (module docstring), by (q, sigma, d) ids
+        self.deeper, self.outside = np.zeros((len(ids.states), len(ids.tapes), 2), dtype=bool), {}
+        for q1, sigma, tau, q, d, omega, _, _ in ids.entries:
+            if not (ids.state_ok[q1] and ids.sym_ok[tau]):
+                self.outside.setdefault((q, sigma, d), []).append((tuple(ids.syms[y] for y in omega), tau == ids.base))
+            elif tau != ids.base and not omega:
+                self.deeper[q, sigma, d] = True
+
+
 def enumerate_window(spec: QpaSpec, word: str, radius: int, cap: int = WINDOW_CAP) -> ConfigWindow:
     """Rectangular window: all stacks up to depth ``radius + 2`` over the tape.
 
@@ -138,6 +178,7 @@ def enumerate_window(spec: QpaSpec, word: str, radius: int, cap: int = WINDOW_CA
     steps plus one padding layer, so depth-``radius + 1`` rows and
     columns can still be interior.  Interior sets are computed exactly
     from the transition relation, never guessed from index position.
+    More than ``cap`` configurations, or stack symbols in all, is a ``WindowCapError``.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -149,52 +190,87 @@ def enumerate_window(spec: QpaSpec, word: str, radius: int, cap: int = WINDOW_CA
     depth = stack_limit if n_symbols < 2 else min(stack_limit, cap.bit_length() + 1)
     if len(spec.states) * len(tape) * _count_stacks(n_symbols, depth) > cap:
         raise WindowCapError(f"window of radius {radius} exceeds the cap of {cap} configurations")
+    if _count_symbols(n_symbols, stack_limit) > cap:
+        raise WindowCapError(f"window of radius {radius} exceeds the cap of {cap} stack symbols")
 
-    # Depth first on the run's stack trie, children in ascending id (sorted-name
-    # order): one push interns each stack, and configurations come out sorted.
-    run = _Run(spec, tape)
-    ids = run.table.ids
-    base = ids.base
-    children = [y for y in reversed(range(len(ids.syms))) if ids.sym_ok[y] and y != base]
-    stacks = []
-    todo = [(run.push(0, base), (ids.syms[base],))]
+    # Depth first, children in ascending id: stacks come out sorted.  Stack j has a top, a parent (the empty
+    # stack is n_stacks, "outside" n_stacks + 1) and, below full depth, its own row inner[j] of children.
+    steps = cached_on(spec, "_window_steps", _Steps)
+    ids, digits = steps.ids, steps.digits
+    stacks, links, todo = [], [], [(-1, len(digits), (ids.syms[ids.base],))]
     while todo:
-        sid, stack = todo.pop()
-        stacks.append((sid, stack))
+        *link, stack = todo.pop()
+        links.append(link)
+        stacks.append(stack)
         if len(stack) < stack_limit:
-            todo += [(run.push(sid, c), stack + (ids.syms[c],)) for c in children]
-    states, heads = [q for q, ok in zip(ids.states, ids.state_ok) if ok], range(len(tape))
-    # configuration b * len(stacks) + j is block b = (state, head) on stack j
-    blocks = [(h << run.qbits) | ids.state_id[q] for q in states for h in heads]
-    lifted = [sid << run.hshift for sid, _ in stacks]
-    keys = [hq | sk for hq in blocks for sk in lifted]
-    rows, cols, vals, interior_cols = step_targets(run, keys)
+            todo += [(len(links) - 1, i, stack + (ids.syms[digits[i]],)) for i in reversed(range(len(digits)))]
+    n_stacks = len(stacks)
+    parent, digit = np.array(links).T
+    parent[0] = n_stacks
+    short = np.fromiter(map(len, stacks), np.int64, n_stacks) < stack_limit
+    inner = np.append(np.where(short, np.cumsum(short) - 1, -1), [-1, -1])
+    child = np.full((np.count_nonzero(short) + 1, len(digits) + 1), n_stacks + 1)
+    child[inner[parent[1:]], digit[1:]] = np.arange(1, n_stacks)
 
-    # The entries whose source can lie outside the window (module docstring), by (q, sigma, d) ids
-    deeper, outside = set(), {}
-    for q1, sigma, tau, q, d, omega, _, _ in ids.entries:
-        if not (ids.state_ok[q1] and ids.sym_ok[tau]):
-            outside.setdefault((q, sigma, d), []).append((tuple(ids.syms[y] for y in omega), tau == base))
-        elif tau != base and not omega:
-            deeper.add((q, sigma, d))
+    # configuration b * n_stacks + j is block b = (state, head) on stack j; its
+    # group codes the block's state and tape ids with stack j's top
+    states = [q for q, ok in enumerate(ids.state_ok) if ok]
     tape_ids = [ids.tape_id[c] for c in tape.symbols]
-    interior_rows = []
-    for b, (name, h) in enumerate(product(states, heads)):
-        if not h:
-            continue
-        q = ids.state_id[name]
-        cells = ((q, tape_ids[h], STAY_ID), (q, tape_ids[h - 1], ADVANCE_ID))
-        full = any(cell in deeper for cell in cells)
-        foreign = [e for cell in cells for e in outside.get(cell, ())]
-        block = range(b * len(stacks), (b + 1) * len(stacks))
-        interior_rows += block if not (full or foreign) else [
-            i for i, (_, s) in zip(block, stacks)
-            if not (full and len(s) == stack_limit) and not (foreign and any(
-                s[len(s) - len(w):] == w and based == (len(s) == len(w)) for w, based in foreign))]
+    codes = np.add.outer(np.add.outer(np.multiply(states, len(ids.tapes)), tape_ids) * len(ids.syms),
+                         np.array(digits + [ids.base])[digit]).ravel()
+    at = np.searchsorted(steps.codes, codes)
+    layout = (spec, steps, tape, states, stacks, parent, inner, child)
+    rows, cols, vals, boundary = step_targets(layout, np.where(steps.codes[at] == codes, at, -1))
 
-    return ConfigWindow(tape=tape, states=tuple(states), stacks=tuple(s for _, s in stacks),
-                        interior_cols=frozenset(interior_cols), interior_rows=frozenset(interior_rows),
+    # Interior rows, a mask over the stacks per block: head 0 is boundary, and so is full
+    # depth where a ``deeper`` entry leads in; blocks that ``outside`` entries reach are tested
+    interior = np.ones((len(states), len(tape), n_stacks), dtype=bool)
+    interior[:, 0] = False
+    deeper = steps.deeper[states]
+    full = deeper[:, tape_ids[1:], STAY_ID] | deeper[:, tape_ids[:-1], ADVANCE_ID]
+    interior[:, 1:] &= ~full[..., None] | short
+    for (b, q), h in product(enumerate(states) if steps.outside else (), range(1, len(tape))):
+        cells = ((q, tape_ids[h], STAY_ID), (q, tape_ids[h - 1], ADVANCE_ID))
+        foreign = [e for cell in cells for e in steps.outside.get(cell, ())]
+        if foreign:
+            interior[b, h] &= [not any(s[len(s) - len(w):] == w and based == (len(s) == len(w))
+                                       for w, based in foreign) for s in stacks]
+
+    return ConfigWindow(tape=tape, states=tuple(ids.states[q] for q in states), stacks=tuple(stacks),
+                        interior_cols=frozenset(np.flatnonzero(~boundary).tolist()),
+                        interior_rows=frozenset(np.flatnonzero(interior).tolist()),
                         stack_limit=stack_limit, spec=spec, entries=(rows, cols, vals))
+
+
+def step_targets(layout: tuple, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One step of every configuration of a window, as one pass over its layout.
+
+    ``layout`` is ``(spec, steps, tape, states, stacks, parent, inner, child)`` as ``enumerate_window`` lays
+    it out, and ``groups[c]`` is column ``c``'s group of ``_Steps`` rows.  Returns the entries inside the
+    window, ``(rows, cols, amplitudes)`` in column and then table order, and the mask of boundary columns:
+    those with a successor outside the window, or with a branch past the end marker, which has no target.
+    """
+    spec, steps, tape, states, stacks, parent, inner, child = layout
+    n = steps.count[groups]
+    cols = np.repeat(np.arange(len(groups)), n)
+    e = np.repeat(steps.start[groups] - (np.cumsum(n) - n), n) + np.arange(len(cols))
+    block, stack = np.divmod(cols, len(stacks))
+    head = block % len(tape) + steps.adv[e]
+    past = head >= len(tape)
+    lost = np.flatnonzero(~(steps.based[e] | past))
+    if lost.size:
+        i = lost[0]
+        q, h = divmod(int(block[i]), len(tape))
+        run = _Run(spec, tape)
+        key = run.key(Configuration(steps.ids.states[states[q]], h, stacks[stack[i]]))
+        raise run.step_error(key, None, [steps.entries[e[i]]])
+    s = np.where(steps.pops[e], parent[stack], stack)
+    for pushed in steps.push[e].T:
+        s = np.where(pushed < 0, s, child[inner[s], pushed])
+    state = steps.slot[steps.target[e]]
+    inside = ~past & (state >= 0) & (s < len(stacks))
+    boundary = np.bincount(cols[~inside], minlength=len(groups)) > 0
+    return ((state * len(tape) + head) * len(stacks) + s)[inside], cols[inside], steps.amp[e[inside]], boundary
 
 
 def build_matrix(spec: QpaSpec, window: ConfigWindow) -> TruncatedMatrix:
@@ -247,7 +323,7 @@ def _col_gram_deviation(matrix: TruncatedMatrix) -> float:
 def _interior_row_norms_squared(matrix: TruncatedMatrix) -> np.ndarray:
     out = np.zeros(matrix.dim, dtype=float)
     np.add.at(out, matrix.rows, np.abs(matrix.vals) ** 2)
-    return out[sorted(matrix.interior_rows)]
+    return out[np.fromiter(matrix.interior_rows, dtype=np.int64, count=len(matrix.interior_rows))]
 
 
 def _row_deviation(matrix: TruncatedMatrix) -> float:
@@ -260,14 +336,8 @@ def check_truncated_unitarity(matrix: TruncatedMatrix, tol: float = DEFAULT_TOL)
     check_tolerance(tol)
     col_dev = _col_gram_deviation(matrix)
     row_dev = _row_deviation(matrix)
-    return UnitarityReport(
-        col_deviation=col_dev,
-        row_deviation=row_dev,
-        n_interior_cols=len(matrix.interior_cols),
-        n_interior_rows=len(matrix.interior_rows),
-        tolerance=tol,
-        passed=col_dev <= tol and row_dev <= tol,
-    )
+    return UnitarityReport(col_dev, row_dev, len(matrix.interior_cols), len(matrix.interior_rows), tol,
+                           col_dev <= tol and row_dev <= tol)
 
 
 def row_norm_bound_probe(matrix: TruncatedMatrix) -> float:
@@ -338,11 +408,5 @@ def matrix_to_text(matrix: TruncatedMatrix) -> str:
         return f"<{matrix.dim}x{matrix.dim} matrix; too large to print>"
     dense = matrix.to_dense()
     all_real = bool(np.all(dense.imag == 0.0))
-    lines = []
-    for r in range(matrix.dim):
-        cells = []
-        for c in range(matrix.dim):
-            v = dense[r, c]
-            cells.append(f"{v.real:8.4f}" if all_real else f"{v.real:7.3f}{v.imag:+7.3f}i")
-        lines.append(" ".join(cells))
-    return "\n".join(lines)
+    return "\n".join(" ".join(f"{v.real:8.4f}" if all_real else f"{v.real:7.3f}{v.imag:+7.3f}i" for v in row)
+                     for row in dense)

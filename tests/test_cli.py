@@ -203,6 +203,12 @@ class TestMatrix:
         assert err.startswith("error: ") and err.count("\n") == 1 and str(dump) in err, err
         assert list(tmp_path.iterdir()) == []
 
+    def test_a_window_over_the_symbol_cap_exits_three(self, files, capsys):
+        # 2,830 configurations whose stacks hold 1,001,820 symbols
+        assert main(["matrix", files["nonunitary"], "--word", "", "--radius", "1413"]) == 3
+        assert capsys.readouterr().err == (
+            "error: window of radius 1413 exceeds the cap of 1000000 stack symbols\n")
+
     def test_dump_text_grid(self, files, capsys):
         assert main(["matrix", files["nonunitary"], "--word", "1", "--radius", "1",
                      "--dump", "-"]) == 0

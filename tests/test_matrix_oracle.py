@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from qpakit import matrixlab, zoo
 from qpakit.dfa2rpa import compile_dfa
 from qpakit.evolve import Configuration
-from qpakit.model import Direction, STACK_BASE
+from qpakit.model import Direction, QpaError, STACK_BASE
 
 from conftest import enumerate_push_words, make_spec, random_total_dfa, words_up_to
 import evolve_oracle
@@ -171,6 +171,55 @@ def test_base_losing_tables(entries):
                      entries=entries)
     for radius in range(3):
         assert assert_same(spec, "x", radius) == "raised"
+
+
+def test_two_columns_that_lose_the_base_name_the_first_in_column_order():
+    """Column (p, 1, Z0 1) comes before (p, 2, Z0), though its entry, on x, comes
+    after the one on $ in table order."""
+    spec = make_spec(sigma={"x"}, t={"1"}, states={"p"}, q0="p", q_acc=(), q_rej=(), entries=[
+        ("p", "$", Z, "p", Direction.STAY, (), 1.0),
+        ("p", "x", "1", "p", Direction.STAY, ("1", Z), 1.0),
+    ])
+    for radius in range(3):
+        assert assert_same(spec, "x", radius) == "raised"
+        with pytest.raises(QpaError) as info:
+            matrixlab.enumerate_window(spec, "x", radius)
+        assert str(Configuration("p", 1, (Z, "1"))) in str(info.value)
+
+
+def test_a_long_push_one_below_full_depth_leaves_its_column_boundary_with_its_inside_entry():
+    """From depth stack_limit - 1, a push of two more symbols lands past the window's
+    depth; the other branch stays inside, and one layer lower both do."""
+    amp = 2 ** -0.5
+    spec = make_spec(sigma={"x"}, t={"1"}, states={"p", "q"}, q0="p", q_acc=(), q_rej=(), entries=[
+        ("p", "x", "1", "p", Direction.STAY, ("1", "1", "1"), amp),
+        ("p", "x", "1", "q", Direction.STAY, ("1",), amp),
+    ])
+    for radius in (1, 2, 3):
+        assert assert_same(spec, "x", radius) == "ok"
+        w = matrixlab.enumerate_window(spec, "x", radius)
+        dense = matrixlab.build_matrix(spec, w).to_dense()
+        col = w.index[Configuration("p", 1, (Z,) + ("1",) * radius)]
+        row = w.index[Configuration("q", 1, (Z,) + ("1",) * radius)]
+        assert col not in w.interior_cols
+        assert dense[:, col].tolist() == [amp if i == row else 0 for i in range(len(w))]
+        assert w.index[Configuration("p", 1, (Z,) + ("1",) * (radius - 1))] in w.interior_cols
+
+
+def test_a_target_in_an_undeclared_state_leaves_its_column_boundary():
+    amp = 2 ** -0.5
+    spec = make_spec(sigma={"x"}, t={"1"}, states={"p"}, q0="p", q_acc=(), q_rej=(), entries=[
+        ("p", "x", Z, "u", Direction.STAY, (Z,), amp),
+        ("p", "x", Z, "p", Direction.ADVANCE, (Z, "1"), amp),
+    ])
+    for radius in range(3):
+        assert assert_same(spec, "x", radius) == "ok"
+        w = matrixlab.enumerate_window(spec, "x", radius)
+        dense = matrixlab.build_matrix(spec, w).to_dense()
+        col = w.index[Configuration("p", 1, (Z,))]
+        row = w.index[Configuration("p", 2, (Z, "1"))]
+        assert col not in w.interior_cols
+        assert dense[:, col].tolist() == [amp if i == row else 0 for i in range(len(w))]
 
 
 def test_predecessors_invert_successors():

@@ -1,5 +1,6 @@
 """Truncated matrices: window honesty, unitarity duality, banded fixtures."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +73,30 @@ class TestWindow:
         assert len(enumerate_window(spec, "ab", 3, cap=dim)) == dim
         with pytest.raises(WindowCapError):
             enumerate_window(spec, "ab", 3, cap=dim - 1)
+
+    def test_cap_counts_stack_symbols(self):
+        # one state, one stack symbol, word "": 2 heads, and depth d holds d symbols
+        spec = zoo.nonunitary_example()
+        assert len(enumerate_window(spec, "", 2, cap=10)) == 8     # 4 stacks holding 10 symbols
+        with pytest.raises(WindowCapError) as info:
+            enumerate_window(spec, "", 2, cap=9)
+        assert str(info.value) == "window of radius 2 exceeds the cap of 9 stack symbols"
+        with pytest.raises(WindowCapError) as info:     # 10,000 configurations, 12,502,500 symbols
+            enumerate_window(spec, "", 4998, cap=10_000)
+        assert str(info.value) == "window of radius 4998 exceeds the cap of 10000 stack symbols"
+
+    def test_memory_grows_with_the_window_not_the_square_of_the_stack_alphabet(self):
+        # 4000 stack symbols at radius 0: 8002 configurations, and only the base stack has children,
+        # so a child table with a row per stack and a column per symbol would take 128 MB
+        spec = make_spec(sigma={"a"}, t={f"s{i:04d}" for i in range(4000)}, states={"q"}, q0="q",
+                         q_acc=(), q_rej=(), entries=[("q", "#", Z, "q", STAY, (Z, "s0001"), 1.0)])
+        tracemalloc.start()
+        try:
+            assert len(enumerate_window(spec, "", 0)) == 8002
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20, peak
 
     def test_leftmost_rows_are_boundary(self):
         spec = zoo.l1_rpa().spec

@@ -16,9 +16,9 @@ __version__ = "0.1.0"
 
 # each submodule and the public names it owns
 _NAMES = {
-    "model": "Alphabets DfaSpec Direction QpaError QpaSpec StructureError StructureViolation SymbolError "
-             "TransitionKey parse_amplitude format_amplitude validate_structure",
-    "io": "ParseError load_dfa load_qpa qpa_dumps qpa_loads save_dfa save_qpa",
+    "model": "Alphabets DfaSpec Direction ParseError QpaError QpaSpec StructureError StructureViolation "
+             "SymbolError TransitionKey parse_amplitude format_amplitude validate_structure",
+    "io": "load_dfa load_qpa qpa_dumps qpa_loads save_dfa save_qpa",
     "wellformed": "ConditionReport ConditionSummary check_all check_column_orthogonality check_local_probability "
                   "check_row_norm check_separability",
     "evolve": "Configuration RecognitionResult Superposition TapeContext TapeOverrunError NotWellFormedError "

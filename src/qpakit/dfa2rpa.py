@@ -7,7 +7,9 @@ advance and push the index of the state they leave, so the stack records
 the path; primed states stay put and either unwind that record or hand
 control back.  Only the end-marker hop into a primed state is live, but
 the unwinding rules are what make the table a bijection on
-configurations, hence reversible.
+configurations, hence reversible.  The rules are rows for
+``model.spec_from_rows``, each with the amplitude literal ``1.0``, so a
+compiled spec keeps the literals its export writes.
 
 Rule summary, for DFA states q_i with Ind(q_i) = i:
 
@@ -31,11 +33,8 @@ from .model import (
     STACK_BASE,
     QpaError,
     QpaSpec,
-    TransitionKey,
+    spec_from_rows,
 )
-
-_ADV = Direction.ADVANCE
-_STAY = Direction.STAY
 
 
 def _primed_name(name: str, taken: set[str]) -> str:
@@ -66,16 +65,13 @@ def compile_dfa(dfa: DfaSpec) -> QpaSpec:
     alphabets = Alphabets(sigma=sigma, t=t_syms)
     delta_syms = sorted(t_syms | {STACK_BASE})
 
-    states = frozenset(plain) | frozenset(primed.values())
-    direction = {q: _ADV for q in plain}
-    direction.update({primed[q]: _STAY for q in plain})
+    direction = {**{q: Direction.ADVANCE for q in plain}, **{primed[q]: Direction.STAY for q in plain}}
+    states = frozenset(direction)
 
-    delta: dict[TransitionKey, complex] = {}
+    rows = []
 
     def put(q1: str, sigma_sym: str, tau: str, q: str, omega: tuple[str, ...]) -> None:
-        key = TransitionKey(q1=q1, sigma=sigma_sym, tau=tau, q=q,
-                            d=direction[q], omega=omega)
-        delta[key] = 1.0 + 0.0j
+        rows.append((q1, sigma_sym, tau, q, direction[q], omega, "1.0"))
 
     for a in sorted(sigma):
         for q in plain:
@@ -99,14 +95,5 @@ def compile_dfa(dfa: DfaSpec) -> QpaSpec:
             put(primed[q], RIGHT_MARKER, tau, q, (tau,))
 
     finals_primed = frozenset(primed[q] for q in sorted(dfa.finals))
-    return QpaSpec(
-        alphabets=alphabets,
-        states=states,
-        q0=dfa.q0,
-        q_accept=finals_primed,
-        q_reject=frozenset(primed.values()) - finals_primed,
-        delta=delta,
-        kind=KIND_REVERSIBLE,
-        direction_fn=direction,
-        name="compiled-rpa",
-    )
+    return spec_from_rows(rows, alphabets, states, dfa.q0, finals_primed, frozenset(primed.values()) - finals_primed,
+                          KIND_REVERSIBLE, direction, "compiled-rpa")

@@ -18,21 +18,16 @@ from .model import (
     Direction,
     KIND_GENERAL,
     KINDS,
+    ParseError,
     QpaSpec,
-    QpaError,
     StructureError,
     SymbolError,
-    TransitionKey,
     format_amplitude,
-    parse_amplitude,
     quote,
     quote_all,
+    spec_from_rows,
     validate_structure,
 )
-
-
-class ParseError(QpaError):
-    """A document does not match the interchange format."""
 
 
 _QPA_FIELDS = {
@@ -112,6 +107,35 @@ def tokenize_word(alphabets: Alphabets, word: str) -> tuple[str, ...]:
     return tuple(out)
 
 
+def _checked_rows(items: list, stack_symbols: frozenset[str]):
+    """The transition objects as builder rows, each checked when the builder reaches it; a check formats
+    its message only when it fails, and each distinct push word is split once."""
+    pushes: dict[str, tuple[str, ...]] = {}
+    for i, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise ParseError(f"transition {i} must be an object")
+        if item.keys() != _TRANSITION_FIELDS:
+            unknown = set(item) - _TRANSITION_FIELDS
+            _require(not unknown, f"transition {i}: unknown fields {quote_all(sorted(unknown))}")
+            missing = _TRANSITION_FIELDS - set(item)
+            _require(not missing, f"transition {i}: missing fields {sorted(missing)}")
+        try:
+            "".join(item.values())      # the cheapest check that every field is a string
+        except TypeError:
+            f = min(f for f in _TRANSITION_FIELDS if not isinstance(item[f], str))
+            raise ParseError(f"transition {i}: {f!r} must be a string") from None
+        d = _DIRECTIONS.get(item["dir"])
+        if d is None:
+            raise ParseError(f"transition {i}: bad dir {quote(item['dir'])}")
+        omega = pushes.get(item["push"])
+        if omega is None:
+            try:
+                omega = pushes[item["push"]] = tokenize_push(item["push"], stack_symbols)
+            except ParseError as exc:
+                raise ParseError(f"transition {i}: {exc}") from exc
+        yield item["from"], item["input"], item["stack_top"], item["to"], d, omega, item["amp"]
+
+
 def qpa_from_dict(doc: dict, validate: bool = True) -> QpaSpec:
     _require(isinstance(doc, dict), "document must be a JSON object")
     unknown = set(doc) - _QPA_FIELDS
@@ -149,63 +173,9 @@ def qpa_from_dict(doc: dict, validate: bool = True) -> QpaSpec:
             _require(d in ("stay", "advance"), f"direction for {quote(q)} must be 'stay' or 'advance'")
             direction[q] = _DIRECTIONS[d]
 
-    delta: dict[TransitionKey, complex] = {}
-    literals: dict[TransitionKey, str] = {}
-    seen: set[TransitionKey] = set()
-    pushes: dict[str, tuple[str, ...]] = {}     # each distinct push word and literal is parsed once
-    amps: dict[str, complex] = {}
-    raw_trans = doc["transitions"]
-    _require(isinstance(raw_trans, list), "'transitions' must be a list")
-    # per-item checks format their message only when they fail
-    for i, item in enumerate(raw_trans):
-        if not isinstance(item, dict):
-            raise ParseError(f"transition {i} must be an object")
-        if item.keys() != _TRANSITION_FIELDS:
-            unknown = set(item) - _TRANSITION_FIELDS
-            _require(not unknown, f"transition {i}: unknown fields {quote_all(sorted(unknown))}")
-            missing = _TRANSITION_FIELDS - set(item)
-            _require(not missing, f"transition {i}: missing fields {sorted(missing)}")
-        try:
-            "".join(item.values())      # the cheapest check that every field is a string
-        except TypeError:
-            f = min(f for f in _TRANSITION_FIELDS if not isinstance(item[f], str))
-            raise ParseError(f"transition {i}: {f!r} must be a string") from None
-        d = _DIRECTIONS.get(item["dir"])
-        if d is None:
-            raise ParseError(f"transition {i}: bad dir {quote(item['dir'])}")
-        omega = pushes.get(item["push"])
-        if omega is None:
-            try:
-                omega = pushes[item["push"]] = tokenize_push(item["push"], alphabets.delta_alpha)
-            except ParseError as exc:
-                raise ParseError(f"transition {i}: {exc}") from exc
-        amp = amps.get(item["amp"])
-        if amp is None:
-            try:
-                amp = amps[item["amp"]] = parse_amplitude(item["amp"])
-            except ValueError as exc:
-                raise ParseError(f"transition {i}: {exc}") from exc
-        key = TransitionKey(item["from"], item["input"], item["stack_top"], item["to"], d, omega)
-        if key in seen:
-            raise ParseError(f"transition {i}: duplicate key")
-        seen.add(key)
-        if amp == 0:
-            continue
-        delta[key] = amp
-        literals[key] = item["amp"]
-
-    spec = QpaSpec(
-        alphabets=alphabets,
-        states=frozenset(states),
-        q0=doc["initial"],
-        q_accept=frozenset(accepting),
-        q_reject=frozenset(rejecting),
-        delta=delta,
-        kind=kind,
-        direction_fn=direction,
-        amp_literals=literals,
-        name=doc.get("name", ""),
-    )
+    _require(isinstance(doc["transitions"], list), "'transitions' must be a list")
+    spec = spec_from_rows(_checked_rows(doc["transitions"], alphabets.delta_alpha), alphabets, states,
+                          doc["initial"], accepting, rejecting, kind, direction, doc.get("name", ""))
     if validate:
         violations = validate_structure(spec)
         if violations:

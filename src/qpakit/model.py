@@ -11,6 +11,9 @@ Reserved symbols: ``#`` and ``$`` frame the input word on the tape and
 ``Z0`` is the stack base.  They are injected by the loaders and may not
 be declared by users.
 
+The JSON loader, the zoo and the DFA compiler build every spec through
+``spec_from_rows``.
+
 Every layer reads a spec through one ``CompiledTable``, built on first use
 and cached on the spec: names numbered in sorted order (``advance`` before
 ``stay``), the flags ``state_ok``, ``tape_ok`` and ``sym_ok`` that say which
@@ -76,6 +79,10 @@ class QpaError(Exception):
 
 class SymbolError(QpaError):
     """A symbol or state is not declared by the automaton."""
+
+
+class ParseError(QpaError):
+    """A document or a row does not match the interchange format."""
 
 
 class StructureError(QpaError):
@@ -192,6 +199,33 @@ class QpaSpec(_Frozen):
 
     def sorted_keys(self) -> list[TransitionKey]:
         return [e[-1] for e in self.compiled().entries]
+
+
+def spec_from_rows(rows, alphabets: Alphabets, states, q0: str, q_accept, q_reject, kind: str,
+                   direction_fn: dict[str, Direction] | None, name: str) -> QpaSpec:
+    """A spec from rows ``(q1, sigma, tau, q, d, omega, literal)``, taken in order.
+
+    Each distinct literal is parsed once.  A row with amplitude 0 is not stored; a stored entry keeps its
+    literal.  A literal that does not parse, or a key given twice (after a zero row too), is a ParseError
+    that names the row's place.
+    """
+    delta, literals, seen, amps = {}, {}, set(), {}
+    for i, (q1, sigma, tau, q, d, omega, lit) in enumerate(rows):
+        amp = amps.get(lit)
+        if amp is None:
+            try:
+                amp = amps[lit] = parse_amplitude(lit)
+            except ValueError as exc:
+                raise ParseError(f"transition {i}: {exc}") from exc
+        key = TransitionKey(q1, sigma, tau, q, d, omega)
+        if key in seen:
+            raise ParseError(f"transition {i}: duplicate key")
+        seen.add(key)
+        if amp:
+            delta[key] = amp
+            literals[key] = lit
+    return QpaSpec(alphabets, frozenset(states), q0, frozenset(q_accept), frozenset(q_reject), delta, kind,
+                   direction_fn, literals, name)
 
 
 def cached_on(spec: QpaSpec, attr: str, build):

@@ -43,8 +43,7 @@ from .model import (
     STACK_BASE,
     QpaError,
     QpaSpec,
-    TransitionKey,
-    parse_amplitude,
+    spec_from_rows,
 )
 
 _ADV = Direction.ADVANCE
@@ -154,28 +153,11 @@ def comparator_gadget(x_symbol: str, y_symbol: str, ignore_symbols=(), prefix: s
 
 def _spec_from_rows(name, sigma, states, q0, q_accept, q_reject, kind,
                     directions, rows, stack_syms=_STACK_SYMS) -> QpaSpec:
-    """rows: (q1, sigma, tau, q, omega, amplitude-literal); a general kind has no direction function."""
-    delta = {}
-    literals = {}
-    for q1, s, tau, q, om, lit in rows:
-        key = TransitionKey(q1=q1, sigma=s, tau=tau, q=q,
-                            d=directions[q], omega=om)
-        if key in delta:
-            raise QpaError(f"duplicate zoo entry {key}")
-        delta[key] = parse_amplitude(lit)
-        literals[key] = lit
-    return QpaSpec(
-        alphabets=Alphabets(sigma=frozenset(sigma), t=frozenset(stack_syms)),
-        states=frozenset(states),
-        q0=q0,
-        q_accept=frozenset(q_accept),
-        q_reject=frozenset(q_reject),
-        delta=delta,
-        kind=kind,
-        direction_fn=None if kind == KIND_GENERAL else dict(directions),
-        amp_literals=literals,
-        name=name,
-    )
+    """``model.spec_from_rows`` on rows ``(q1, sigma, tau, q, omega, literal)``, given their targets' directions;
+    a general kind has no direction function."""
+    return spec_from_rows(((q1, s, tau, q, directions[q], om, lit) for q1, s, tau, q, om, lit in rows),
+                          Alphabets(sigma=frozenset(sigma), t=frozenset(stack_syms)), states, q0, q_accept, q_reject,
+                          kind, None if kind == KIND_GENERAL else dict(directions), name)
 
 
 # --- the regular example -------------------------------------------------------

@@ -163,6 +163,12 @@ class TestLazyNames:
                 "    assert len(got) == 8 and all(f is getattr(owner, name) for name, f, _ in got)\n"
                 "    assert [n for *_, n in got] == [len(vars(owner))] * 8, got\n")
 
+    def test_each_public_name_is_owned_by_its_listed_module(self):
+        for module, names in qpakit._NAMES.items():
+            for name in names.split():
+                assert getattr(qpakit, name).__module__ == f"qpakit.{module}", name
+        assert qpakit.ParseError is qpakit.io.ParseError
+
     def test_unknown_attribute(self):
         with pytest.raises(AttributeError, match="no attribute 'build_matrices'"):
             qpakit.build_matrices

@@ -46,6 +46,16 @@ class TestQpaRoundTrip:
             dfa = random_total_dfa(int(rng.integers(1, 6)), "01", rng)
             _round_trip(compile_dfa(dfa))
 
+    def test_code_built_specs_equal_their_reload(self):
+        rng = np.random.default_rng(11)
+        dfas = [compile_dfa(random_total_dfa(n, "01", rng)) for n in (1, 2, 4)]
+        for spec in [*zoo.fixture_specs().values(), *dfas]:
+            again = qpa_loads(qpa_dumps(spec))
+            assert again.delta == spec.delta
+            assert again.amp_literals == spec.amp_literals
+            assert again.direction_fn == spec.direction_fn
+            assert (again.states, again.q_accept, again.q_reject) == (spec.states, spec.q_accept, spec.q_reject)
+
     def test_literals_preserved(self):
         spec = zoo.l5_qpa().spec
         doc = qpa_to_dict(spec)

@@ -10,13 +10,16 @@ from qpakit import zoo
 from qpakit.model import (
     Alphabets,
     DfaSpec,
+    KIND_GENERAL,
     KIND_REVERSIBLE,
+    ParseError,
     StructureError,
     SymbolError,
     format_amplitude,
     parse_amplitude,
     quote,
     quote_all,
+    spec_from_rows,
     validate_structure,
 )
 
@@ -307,3 +310,25 @@ class TestAlphabets:
         al = Alphabets(sigma=frozenset({"a"}), t=frozenset({"1"}))
         assert al.gamma == {"a", "#", "$"}
         assert al.delta_alpha == {"1", "Z0"}
+
+
+class TestSpecFromRows:
+    AL = Alphabets(sigma=frozenset({"a"}), t=frozenset({"1"}))
+
+    def build(self, *rows):
+        return spec_from_rows(rows, self.AL, {"q"}, "q", (), (), KIND_GENERAL, None, "rows")
+
+    def test_repeated_key_after_a_zero_row_is_refused(self):
+        with pytest.raises(ParseError) as exc:
+            self.build(("q", "a", "Z0", "q", ADV, ("Z0",), "0"), ("q", "a", "Z0", "q", ADV, ("Z0",), "1"))
+        assert str(exc.value) == "transition 1: duplicate key"
+
+    def test_zero_row_is_not_stored_and_has_no_literal(self):
+        spec = self.build(("q", "a", "Z0", "q", ADV, ("Z0",), "0/3"), ("q", "a", "1", "q", STAY, ("1",), "1/1"))
+        assert list(spec.delta.items()) == [(("q", "a", "1", "q", STAY, ("1",)), 1.0)]
+        assert spec.amp_literals == {("q", "a", "1", "q", STAY, ("1",)): "1/1"}
+
+    def test_bad_literal_names_its_row(self):
+        with pytest.raises(ParseError) as exc:
+            self.build(("q", "a", "Z0", "q", ADV, ("Z0",), "1"), ("q", "a", "1", "q", ADV, ("1",), "1/0"))
+        assert str(exc.value) == "transition 1: malformed amplitude literal '1/0'"

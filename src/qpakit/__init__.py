@@ -25,8 +25,8 @@ _NAMES = {
               "apply_evolution decide measure recognize trace",
     "dfa2rpa": "compile_dfa",
     "zoo": "",
-    "matrixlab": "ConfigWindow TruncatedMatrix UnitarityReport WindowCapError banded_associativity_probe "
-                 "build_matrix check_truncated_unitarity enumerate_window row_norm_bound_probe shift_fixture",
+    "matrixlab": "ConfigWindow TruncatedMatrix UnitarityReport WindowCapError build_matrix check_truncated_unitarity "
+                 "enumerate_window",
 }
 _OWNER = {name: module for module, names in _NAMES.items() for name in names.split()}
 

@@ -31,11 +31,6 @@ and nothing on the way to the matrix and its check reads them.  Deviations
 are judged against the condition suite's tolerance, ``model.DEFAULT_TOL`` by
 default, so a table and its windows get one verdict.  Documentation elsewhere
 labels rows and columns 1-based; all indices in this module are 0-based.
-
-The module also ships the standalone fixture used to probe the banded
-matrix facts, a shifted column-isometry whose truncations satisfy
-``U*U = I`` while ``UU*`` does not, and an associativity probe for banded
-triples, on their dense arrays.
 """
 from __future__ import annotations
 
@@ -87,10 +82,19 @@ class ConfigWindow(_Frozen, namedtuple("ConfigWindow",
         return {c: i for i, c in enumerate(self.configs)}
 
 
-class TruncatedMatrix(namedtuple("TruncatedMatrix", "dim rows cols vals interior_cols interior_rows")):
-    """Sparse complex matrix, one entry per position (else ``ValueError``), with interior index sets.
+def _in_range(at: np.ndarray, dim: int, what: str) -> np.ndarray:
+    """``at``, an int64 index array, if every index lies in ``0..dim-1``, else ``ValueError``."""
+    if at.size and at.view(np.uint64).max() >= dim:     # a negative index views as a huge one
+        raise ValueError(f"{what} index outside 0..{dim - 1}")
+    return at
 
-    The constructor takes any sequences and keeps int64 and complex arrays and frozensets.
+
+class TruncatedMatrix(namedtuple("TruncatedMatrix", "dim rows cols vals interior_cols interior_rows")):
+    """Sparse complex matrix, one entry per position, with interior index sets.
+
+    The constructor takes any sequences and keeps int64 and complex arrays and frozensets.  Two entries
+    at one position, or an entry index outside ``0..dim-1``, is a ``ValueError``; so is an interior index
+    outside it, from the unitarity check, where the sets become arrays.
     """
 
     __slots__ = ()
@@ -98,8 +102,8 @@ class TruncatedMatrix(namedtuple("TruncatedMatrix", "dim rows cols vals interior
     def __new__(cls, dim: int, rows, cols, vals, interior_cols, interior_rows):
         self = super().__new__(cls, dim, np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64),
                                np.asarray(vals, dtype=complex), frozenset(interior_cols), frozenset(interior_rows))
-        at = np.multiply(self.rows, dim)
-        at += self.cols
+        at = _in_range(self.rows, dim, "row") * dim
+        at += _in_range(self.cols, dim, "column")
         at.sort(kind="stable")     # loads no sort code beyond what the Gram pass loads
         if (at[1:] == at[:-1]).any():
             raise ValueError("two entries at one position")
@@ -295,7 +299,7 @@ def _gram(shared: np.ndarray, paired: np.ndarray, vals: np.ndarray, interior: fr
     ascending s; every other term is zero.  No dim x dim array is built.
     """
     inside = np.zeros(dim, dtype=bool)
-    inside[np.fromiter(interior, dtype=np.int64, count=len(interior))] = True
+    inside[_in_range(np.fromiter(interior, dtype=np.int64, count=len(interior)), dim, "interior")] = True
     keep = inside[paired]
     order = np.lexsort((paired[keep], shared[keep]))
     s, p, v = shared[keep][order], paired[keep][order], vals[keep][order]
@@ -320,15 +324,11 @@ def _col_gram_deviation(matrix: TruncatedMatrix) -> float:
     return float(np.abs(np.concatenate((diag - 1.0, off))).max(initial=0.0))
 
 
-def _interior_row_norms_squared(matrix: TruncatedMatrix) -> np.ndarray:
-    out = np.zeros(matrix.dim, dtype=float)
-    np.add.at(out, matrix.rows, np.abs(matrix.vals) ** 2)
-    return out[np.fromiter(matrix.interior_rows, dtype=np.int64, count=len(matrix.interior_rows))]
-
-
 def _row_deviation(matrix: TruncatedMatrix) -> float:
-    norms2 = _interior_row_norms_squared(matrix)
-    return float(np.abs(norms2 - 1.0).max()) if norms2.size else 0.0
+    """max |n - 1| over the squared norms n of the interior rows, NaN if any is."""
+    norms2 = np.bincount(matrix.rows, np.abs(matrix.vals) ** 2, matrix.dim)
+    interior = np.fromiter(matrix.interior_rows, dtype=np.int64, count=len(matrix.interior_rows))
+    return float(np.abs(norms2[_in_range(interior, matrix.dim, "interior")] - 1.0).max(initial=0.0))
 
 
 def check_truncated_unitarity(matrix: TruncatedMatrix, tol: float = DEFAULT_TOL) -> UnitarityReport:
@@ -338,56 +338,6 @@ def check_truncated_unitarity(matrix: TruncatedMatrix, tol: float = DEFAULT_TOL)
     row_dev = _row_deviation(matrix)
     return UnitarityReport(col_dev, row_dev, len(matrix.interior_cols), len(matrix.interior_rows), tol,
                            col_dev <= tol and row_dev <= tol)
-
-
-def row_norm_bound_probe(matrix: TruncatedMatrix) -> float:
-    """Max interior row norm of a verified column-isometry.
-
-    Refuses to answer unless the interior columns are orthonormal, since
-    the bound only holds for isometries.
-    """
-    col_dev = _col_gram_deviation(matrix)
-    if not col_dev <= DEFAULT_TOL:      # NaN included
-        raise QpaError(
-            f"interior columns are not orthonormal (deviation {col_dev:.3g}); "
-            "row bound not applicable")
-    norms2 = _interior_row_norms_squared(matrix)
-    return float(np.sqrt(norms2.max())) if norms2.size else 0.0
-
-
-def rows_pairwise_orthogonal_deviation(matrix: TruncatedMatrix) -> float:
-    """Max |inner product| over distinct interior row pairs, NaN if an interior row holds NaN."""
-    diag, off = _gram(matrix.cols, matrix.rows, matrix.vals, matrix.interior_rows, matrix.dim)
-    # 0 * diag is 0, or NaN for a row that holds one
-    return float(np.abs(np.concatenate((0.0 * diag, off))).max(initial=0.0))
-
-
-# --- fixtures and probes --------------------------------------------------------
-
-
-def shift_fixture(n: int) -> TruncatedMatrix:
-    """Truncation of the shifted column-isometry with a split first column.
-
-    Column 0 is (1/sqrt2, 1/sqrt2, 0, ...); column c >= 1 is the basis
-    vector c + 1.  Columns 0..n-2 are interior (the last column's true
-    entry falls outside the truncation); every row is interior.
-    """
-    if n < 3:
-        raise ValueError("fixture needs dimension at least 3")
-    inv = 1.0 / np.sqrt(2.0)
-    rows = [0, 1] + [c + 1 for c in range(1, n - 1)]
-    cols = [0, 0] + list(range(1, n - 1))
-    vals = [inv, inv] + [1.0] * (n - 2)
-    return TruncatedMatrix(n, rows, cols, vals, range(n - 1), range(n))
-
-
-def banded_associativity_probe(a: TruncatedMatrix, b: TruncatedMatrix,
-                               c: TruncatedMatrix) -> float:
-    """Max entrywise deviation between (AB)C and A(BC)."""
-    if not (a.dim == b.dim == c.dim):
-        raise ValueError("dimension mismatch")
-    am, bm, cm = a.to_dense(), b.to_dense(), c.to_dense()
-    return float(np.abs((am @ bm) @ cm - am @ (bm @ cm)).max(initial=0.0))
 
 
 # --- output --------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Shared fixtures: broken tables, word generators, tiny DFAs and their classical run, table readers, seeded banded matrices."""
+"""Shared fixtures: broken tables, word generators, tiny DFAs and their classical run, table readers,
+seeded banded matrices, and the banded-matrix probes of acceptance criterion 7."""
 from __future__ import annotations
 
 import itertools
@@ -7,8 +8,10 @@ import numpy as np
 import pytest
 
 from qpakit.evolve import Configuration, Superposition, TapeContext
+from qpakit import matrixlab
 from qpakit.matrixlab import TruncatedMatrix
 from qpakit.model import (
+    DEFAULT_TOL,
     Alphabets,
     DfaSpec,
     Direction,
@@ -208,3 +211,50 @@ def random_partial_permutation(n: int, m: int, max_shift: int, seed: int) -> Tru
         targets.append(r)
     signs = rng.choice([-1.0, 1.0], size=m)
     return TruncatedMatrix(n, targets, range(m), signs, range(m), range(n))
+
+
+# --- banded-matrix probes (acceptance criterion 7) -------------------------------
+
+
+def shift_fixture(n: int) -> TruncatedMatrix:
+    """Truncation of the shifted column-isometry with a split first column.
+
+    Column 0 is (1/sqrt2, 1/sqrt2, 0, ...); column c >= 1 is the basis
+    vector c + 1.  Columns 0..n-2 are interior (the last column's true
+    entry falls outside the truncation); every row is interior.  Its
+    truncations satisfy ``U*U = I`` on the interior while ``UU*`` does not.
+    """
+    if n < 3:
+        raise ValueError("fixture needs dimension at least 3")
+    inv = 1.0 / np.sqrt(2.0)
+    rows = [0, 1] + [c + 1 for c in range(1, n - 1)]
+    cols = [0, 0] + list(range(1, n - 1))
+    vals = [inv, inv] + [1.0] * (n - 2)
+    return TruncatedMatrix(n, rows, cols, vals, range(n - 1), range(n))
+
+
+def banded_associativity_probe(a: TruncatedMatrix, b: TruncatedMatrix, c: TruncatedMatrix) -> float:
+    """Max entrywise deviation between (AB)C and A(BC), on the dense arrays."""
+    if not (a.dim == b.dim == c.dim):
+        raise ValueError("dimension mismatch")
+    am, bm, cm = a.to_dense(), b.to_dense(), c.to_dense()
+    return float(np.abs((am @ bm) @ cm - am @ (bm @ cm)).max(initial=0.0))
+
+
+def row_norm_bound_probe(matrix: TruncatedMatrix) -> float:
+    """Max interior row norm of a verified column-isometry.
+
+    Refuses (``QpaError``) unless the interior columns are orthonormal within
+    ``DEFAULT_TOL``, since the bound only holds for isometries.
+    """
+    col_dev = matrixlab._col_gram_deviation(matrix)
+    if not col_dev <= DEFAULT_TOL:      # NaN included
+        raise QpaError(f"interior columns are not orthonormal (deviation {col_dev:.3g}); row bound not applicable")
+    return float(interior_row_norms(matrix).max(initial=0.0))
+
+
+def rows_pairwise_orthogonal_deviation(matrix: TruncatedMatrix) -> float:
+    """Max |inner product| over distinct interior row pairs, NaN if an interior row holds NaN."""
+    diag, off = matrixlab._gram(matrix.cols, matrix.rows, matrix.vals, matrix.interior_rows, matrix.dim)
+    # 0 * diag is 0, or NaN for a row that holds one
+    return float(np.abs(np.concatenate((0.0 * diag, off))).max(initial=0.0))

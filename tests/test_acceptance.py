@@ -12,23 +12,19 @@ import pytest
 from qpakit import zoo
 from qpakit.dfa2rpa import compile_dfa
 from qpakit.evolve import recognize, trace
-from qpakit.matrixlab import (
-    banded_associativity_probe,
-    build_matrix,
-    check_truncated_unitarity,
-    enumerate_window,
-    row_norm_bound_probe,
-    rows_pairwise_orthogonal_deviation,
-    shift_fixture,
-)
+from qpakit.matrixlab import build_matrix, check_truncated_unitarity, enumerate_window
 from qpakit.wellformed import check_all
 
 from conftest import (
+    banded_associativity_probe,
     interior_row_norms,
     random_banded_isometry,
     random_banded_matrix,
     random_partial_permutation,
     random_total_dfa,
+    row_norm_bound_probe,
+    rows_pairwise_orthogonal_deviation,
+    shift_fixture,
     simulate_dfa,
     words_up_to,
 )

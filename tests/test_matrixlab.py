@@ -14,20 +14,17 @@ from qpakit.matrixlab import (
     WindowCapError,
     _col_gram_deviation,
     _gram,
-    banded_associativity_probe,
     build_matrix,
     check_truncated_unitarity,
     enumerate_window,
     matrix_to_dict,
-    row_norm_bound_probe,
-    rows_pairwise_orthogonal_deviation,
-    shift_fixture,
 )
 from qpakit.model import DEFAULT_TOL, Direction, QpaError, STACK_BASE
 
 from conftest import (
     ADV,
     STAY,
+    banded_associativity_probe,
     initial_superposition,
     interior_row_norms,
     make_spec,
@@ -35,6 +32,9 @@ from conftest import (
     random_banded_matrix,
     random_partial_permutation,
     random_total_dfa,
+    row_norm_bound_probe,
+    rows_pairwise_orthogonal_deviation,
+    shift_fixture,
     words_up_to,
 )
 
@@ -220,6 +220,7 @@ class TestTruncatedUnitarity:
         assert math.isnan(_col_gram_deviation(m))
         rep = check_truncated_unitarity(m)
         assert math.isnan(rep.col_deviation) and not rep.passed
+        assert math.isnan(rep.row_deviation)      # row 0 holds the NaN too
         with pytest.raises(QpaError):
             row_norm_bound_probe(m)
 
@@ -232,6 +233,21 @@ class TestTruncatedUnitarity:
         both = frozenset({0, 1})
         m = make(2, np.array([0, 1]), np.array([1, 0]), np.array([1.0, 1.0]), both, both)
         assert check_truncated_unitarity(m).passed
+
+    @pytest.mark.parametrize("rows, cols, what", [([-1], [0], "row"), ([0, 1], [2, 0], "column")],
+                             ids=["negative-row", "column-past-dim"])
+    def test_an_entry_outside_the_matrix_is_refused(self, rows, cols, what):
+        # row -1 would wrap to row 1, and column 2 at dim 2 would read as a repeated position
+        with pytest.raises(ValueError, match=rf"{what} index outside 0\.\.1"):
+            TruncatedMatrix(2, rows, cols, [1.0] * len(rows), [0], [1])
+
+    @pytest.mark.parametrize("interior_cols, interior_rows", [({-1}, {0}), ({0}, {-1}), ({5}, {0}), ({0}, {5})],
+                             ids=["col-negative", "row-negative", "col-past-dim", "row-past-dim"])
+    def test_an_interior_index_outside_the_matrix_is_refused(self, interior_cols, interior_rows):
+        # -1 would stand for dim - 1, and 5 would raise a bare IndexError
+        m = TruncatedMatrix(3, range(3), range(3), [1.0] * 3, interior_cols, interior_rows)
+        with pytest.raises(ValueError, match=r"interior index outside 0\.\.2"):
+            check_truncated_unitarity(m)
 
 
 def _dense_gram_deviation(m, chunk=64):

@@ -38,15 +38,6 @@ EXIT_REJECTED = 1
 EXIT_VIOLATIONS = 2
 EXIT_ERROR = 3
 
-
-def _late(module, name: str):
-    """``module.name``, looked up at each call, so ``module`` runs only when a command calls it."""
-    return lambda *args, **kwargs: getattr(module, name)(*args, **kwargs)
-
-
-# the recognition loop and the compiler, as names of this module that a caller can replace
-_fold, recognize, compile_dfa = _late(evolve, "_fold"), _late(evolve, "recognize"), _late(dfa2rpa, "compile_dfa")
-
 RUN_SCHEMA = {
     "type": "object",
     "required": ["word", "p_accept", "p_reject", "p_nonhalt", "steps", "halted", "decision"],
@@ -158,9 +149,9 @@ def cmd_run(args) -> int:
     spec = load_qpa(args.file)
     evolve.check_threshold(args.threshold)
     steps = [] if args.trace else None
-    result = _fold(spec, args.word, max_steps=args.max_steps, force=args.force, trace_out=steps)
+    result = evolve._fold(spec, args.word, max_steps=args.max_steps, force=args.force, trace_out=steps)
     verdict = evolve.decide(result, args.threshold)
-    doc = {"word": args.word, **evolve.result_to_dict(result), "decision": verdict}
+    doc = {"word": args.word, **result._asdict(), "decision": verdict}
     lines = [
         f"word      {args.word!r}",
         f"p_accept  {result.p_accept:.12f}",
@@ -187,7 +178,7 @@ def cmd_batch(args) -> int:
     words = read_text(args.words).splitlines()
     rows = []
     for word in words:
-        result = recognize(spec, word, max_steps=args.max_steps, force=args.force)
+        result = evolve.recognize(spec, word, max_steps=args.max_steps, force=args.force)
         rows.append((word, result, evolve.decide(result, args.threshold)))
     out_path = args.csv_out
     with (open(out_path, "w", newline="", encoding="utf-8") if out_path
@@ -206,7 +197,7 @@ def cmd_batch(args) -> int:
 
 def cmd_compile_dfa(args) -> int:
     tol = _tolerance(args.tolerance)
-    rpa = compile_dfa(load_dfa(args.infile))
+    rpa = dfa2rpa.compile_dfa(load_dfa(args.infile))
     summary = wellformed.check_all(rpa, tol=tol, suite="simplified")
     if not summary.passed:
         raise QpaError(f"compiled table failed {summary.total_violations} condition checks")

@@ -35,6 +35,7 @@ from .model import (
     ADVANCE_ID,
     QpaError,
     QpaSpec,
+    _Record,
     cached_on,
 )
 from .wellformed import ConditionSummary, check_all
@@ -56,7 +57,7 @@ class NotWellFormedError(QpaError):
         super().__init__(f"table is not well-formed; failing conditions: {failed}")
 
 
-class TapeContext(namedtuple("TapeContext", "symbols")):
+class TapeContext(_Record, namedtuple("TapeContext", "symbols")):
     """The framed input word; immutable for the duration of a run.  ``len`` counts its symbols, markers included."""
 
     __slots__ = ()
@@ -416,10 +417,6 @@ def decide(result: RecognitionResult, threshold: float) -> str:
     if result.p_reject >= threshold:
         return "rejected"
     return "inconclusive"
-
-
-def result_to_dict(result: RecognitionResult) -> dict:
-    return result._asdict()
 
 
 def trace_to_dict(steps: list[TraceStep]) -> list[dict]:

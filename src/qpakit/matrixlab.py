@@ -41,7 +41,7 @@ from itertools import product
 import numpy as np
 
 from .evolve import Configuration, TapeContext, _Run, _table
-from .model import ADVANCE_ID, DEFAULT_TOL, STAY_ID, QpaError, QpaSpec, _Frozen, cached_on, check_tolerance
+from .model import ADVANCE_ID, DEFAULT_TOL, STAY_ID, QpaError, QpaSpec, _Record, cached_on, check_tolerance
 
 WINDOW_CAP = 10 ** 6
 TEXT_MAX_DIM = 24          # largest dimension matrix_to_text prints as a grid
@@ -51,7 +51,7 @@ class WindowCapError(QpaError):
     """The requested window would exceed the cap on its configurations or stack symbols."""
 
 
-class ConfigWindow(_Frozen, namedtuple("ConfigWindow",
+class ConfigWindow(_Record, namedtuple("ConfigWindow",
                                         "tape states stacks interior_cols interior_rows stack_limit")):
     """An ordered finite slab of configuration space for one framed tape.
 
@@ -89,7 +89,7 @@ def _in_range(at: np.ndarray, dim: int, what: str) -> np.ndarray:
     return at
 
 
-class TruncatedMatrix(namedtuple("TruncatedMatrix", "dim rows cols vals interior_cols interior_rows")):
+class TruncatedMatrix(_Record, namedtuple("TruncatedMatrix", "dim rows cols vals interior_cols interior_rows")):
     """Sparse complex matrix, one entry per position, with interior index sets.
 
     The constructor takes any sequences and keeps int64 and complex arrays and frozensets.  Two entries

@@ -123,7 +123,14 @@ class _Frozen:
         raise AttributeError(f"cannot assign to {name!r}: a {type(self).__name__} is immutable")
 
 
-class Alphabets(_Frozen, namedtuple("Alphabets", "sigma t")):
+class _Record(_Frozen):
+    """A namedtuple base whose copies (``_make``, ``_replace``) go through the constructor and its checks."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+
+class Alphabets(_Record, namedtuple("Alphabets", "sigma t")):
     """Input alphabet, tape alphabet (with markers), stack alphabet (with base)."""
 
     def __new__(cls, sigma: frozenset[str], t: frozenset[str]):

@@ -25,11 +25,13 @@ The row scan quantifies over all ordered pairs of stack symbols,
 including repeated ones; the degenerate tuples are well defined and are
 deliberately not skipped.
 
-The scans read indexes built from the spec's compiled table
-(``QpaSpec.compiled``), keyed by its ids and made for the sources that
-have entries only.  An entry whose source uses an undeclared state, tape
-symbol or popped symbol has no place in the loop, so ``check_all``
-raises ``StructureError`` with the structure check's violations.
+The scans read the spec's compiled table (``QpaSpec.compiled``): its
+entries grouped by source, keyed by ids.  Each scan builds only the maps
+it sums over.  Compiled ids follow sorted names, so id order is the
+exhaustive loop's order.  An entry whose source uses an undeclared state, tape
+symbol or popped symbol has no place in the loop, and one that pushes
+more than two symbols has none in the sums, so ``check_all`` raises
+``StructureError`` with the structure check's violations.
 """
 from __future__ import annotations
 
@@ -44,6 +46,7 @@ from .model import (
     KIND_GENERAL,
     KIND_REVERSIBLE,
     KIND_SIMPLIFIED,
+    CompiledTable,
     QpaError,
     QpaSpec,
     STAY_ID,
@@ -119,61 +122,17 @@ class _Collector:
         )
 
 
-class _Source:
-    """A source with entries; ``ids`` are its compiled ``(q1, sigma, tau)``."""
-
-    __slots__ = ("ids", "full", "singles", "doubles", "eps")
-
-    def __init__(self, ids: tuple[int, int, int]):
-        self.ids = ids
-        self.full: dict = {}      # (q, d, omega) -> amp
-        self.singles: dict = {}   # (q, d, sym) -> amp
-        self.doubles: dict = {}   # (q, d, s0, s1) -> amp
-        self.eps: dict = {}       # (q, d) -> amp
+def _names(table: CompiledTable, ids: tuple[int, int, int]) -> tuple[str, str, str]:
+    q1, sigma, tau = ids
+    return table.states[q1], table.tapes[sigma], table.syms[tau]
 
 
-class _Index:
-    """The suite's indexes, keyed by compiled ids (``d`` a place in ``DIRECTIONS``).
-
-    Only sources with entries are indexed, in table order.  Every indexed
-    source is declared, and compiled ids follow sorted names, so id order
-    is the exhaustive loop's order.  ``states``, ``gam`` and ``dl`` are the
-    declared state, tape and stack ids, ascending.
-    """
-
-    def __init__(self, spec: QpaSpec):
-        self.table = table = spec.compiled()
-        self.states, self.gam, self.dl = ([i for i, ok in enumerate(flags) if ok]
-                                          for flags in (table.state_ok, table.tape_ok, table.sym_ok))
-        self.sources: list[_Source] = []
-        self.by_sigma: list[list[_Source]] = [[] for _ in table.tapes]
-        self.adv_in: dict = {}    # (q, sigma) -> {omega: sum |amp|^2}
-        self.stay_in: dict = {}   # (q, sigma) -> {omega: sum |amp|^2}
-        for ids, group in table.sources.items():
-            q1, sigma, tau = ids
-            if not (table.state_ok[q1] and table.tape_ok[sigma] and table.sym_ok[tau]):
-                raise StructureError(validate_structure(spec))
-            src = _Source(ids)
-            self.sources.append(src)
-            self.by_sigma[sigma].append(src)
-            for _, _, _, q, d, omega, amp, _ in group:
-                src.full[(q, d, omega)] = amp
-                if len(omega) == 0:
-                    src.eps[(q, d)] = amp
-                elif len(omega) == 1:
-                    src.singles[(q, d, omega[0])] = amp
-                else:
-                    src.doubles[(q, d, omega[0], omega[1])] = amp
-                bucket = (self.stay_in if d == STAY_ID else self.adv_in).setdefault((q, sigma), {})
-                bucket[omega] = bucket.get(omega, 0.0) + abs(amp) ** 2
-
-    def names(self, ids: tuple[int, int, int]) -> tuple[str, str, str]:
-        q1, sigma, tau = ids
-        return self.table.states[q1], self.table.tapes[sigma], self.table.syms[tau]
-
-
-def _index(spec: QpaSpec) -> _Index:
-    return cached_on(spec, "_wf_index", _Index)
+def _by_sigma(table: CompiledTable) -> list[list[tuple]]:
+    """The table's ``(ids, group)`` sources, in table order, split by tape symbol id."""
+    out: list[list[tuple]] = [[] for _ in table.tapes]
+    for ids, group in table.sources.items():
+        out[ids[1]].append((ids, group))
+    return out
 
 
 def _dot(a: dict, b: dict) -> complex:
@@ -214,8 +173,8 @@ def _colliding_dots(left: list[tuple[int, dict]], right: list[tuple[int, dict]],
             for j in {j for k in col for j in index.get(k, ()) if j > i or not upper}}
 
 
-def _shift_sums(srcs: list[_Source], declared: list, turns: list[dict]) -> list[tuple[dict, dict]]:
-    """Stack-shift inner products between the sources ``srcs``, by their ids.
+def _shift_sums(srcs: list[tuple], declared: list, turns: list[dict]) -> list[tuple[dict, dict]]:
+    """Stack-shift inner products between the ``(ids, group)`` sources ``srcs``, by their ids.
 
     The first column pushes one symbol fewer than its partner, which pushes
     the declared stack symbol ``t3`` on top.  Part a pairs single against
@@ -228,16 +187,16 @@ def _shift_sums(srcs: list[_Source], declared: list, turns: list[dict]) -> list[
     by_last: dict = {}   # (q, d, last symbol) -> [(i2, t3, amp)] of two-symbol pushes
     by_qd: dict = {}     # (q, d) -> [(i2, t3, amp)] of single pushes
     by_tau2: dict = {}   # (q, d) -> [(i2, t3, amp)] of two-symbol pushes over tau2
-    for src in srcs:
-        i2 = src.ids
-        for (q, d, sym), b in src.singles.items():
-            if declared[sym]:
-                by_qd.setdefault((q, d), []).append((i2, sym, b))
-        for (q, d, s0, s1), b in src.doubles.items():
-            if declared[s0]:
-                by_last.setdefault((q, d, s1), []).append((i2, s0, b))
-            if s0 == i2[2] and declared[s1]:
-                by_tau2.setdefault((q, d), []).append((i2, s1, b))
+    for i2, group in srcs:
+        for _, _, tau2, q, d, omega, b, _ in group:
+            if len(omega) == 1 and declared[omega[0]]:
+                by_qd.setdefault((q, d), []).append((i2, omega[0], b))
+            elif len(omega) == 2:
+                s0, s1 = omega
+                if declared[s0]:
+                    by_last.setdefault((q, d, s1), []).append((i2, s0, b))
+                if s0 == tau2 and declared[s1]:
+                    by_tau2.setdefault((q, d), []).append((i2, s1, b))
 
     def accumulate(part: dict, i1: int, a: complex, partners) -> None:
         ca = a.conjugate()
@@ -249,35 +208,38 @@ def _shift_sums(srcs: list[_Source], declared: list, turns: list[dict]) -> list[
     for turn in turns:
         part_a: dict = {}
         part_b: dict = {}
-        for src in srcs:
-            i1 = src.ids
-            for (q, d, sym), a in src.singles.items():
-                if d in turn:
-                    accumulate(part_a, i1, a, by_last.get((q, turn[d], sym), ()))
-            for (q, d), a in src.eps.items():
-                if d in turn:
+        for i1, group in srcs:
+            # a source's single pushes before its empty ones, as the exhaustive loop adds them
+            for _, _, _, q, d, omega, a, _ in group:
+                if len(omega) == 1 and d in turn:
+                    accumulate(part_a, i1, a, by_last.get((q, turn[d], omega[0]), ()))
+            for _, _, _, q, d, omega, a, _ in group:
+                if not omega and d in turn:
                     accumulate(part_a, i1, a, by_qd.get((q, turn[d]), ()))
                     accumulate(part_b, i1, a, by_tau2.get((q, turn[d]), ()))
         out.append((part_a, part_b))
     return out
 
 
-def _scan_local_probability(t: _Index, col: _Collector) -> None:
-    norms = {src.ids: sum(abs(a) ** 2 for a in src.full.values()) for src in t.sources}
-    tab = t.table
-    names = product([tab.states[q] for q in t.states], [tab.tapes[s] for s in t.gam],
-                    [tab.syms[y] for y in t.dl])
-    for src, key in zip(names, product(t.states, t.gam, t.dl)):
+def _declared(flags: list) -> list[int]:
+    return [i for i, ok in enumerate(flags) if ok]
+
+
+def _scan_local_probability(tab: CompiledTable, col: _Collector) -> None:
+    norms = {ids: sum(abs(e[6]) ** 2 for e in group) for ids, group in tab.sources.items()}
+    states, gam, dl = _declared(tab.state_ok), _declared(tab.tape_ok), _declared(tab.sym_ok)
+    names = product([tab.states[q] for q in states], [tab.tapes[s] for s in gam], [tab.syms[y] for y in dl])
+    for src, key in zip(names, product(states, gam, dl)):
         col.add(src, abs(norms.get(key, 0) - 1.0))
 
 
-def _scan_column_orthogonality(t: _Index, col: _Collector) -> None:
-    for srcs in t.by_sigma:
-        cols = [(src.ids, src.full) for src in srcs]
-        _feed(col, _colliding_dots(cols, cols, upper=True), lambda i, j: t.names(i) + t.names(j)[::2])
+def _scan_column_orthogonality(tab: CompiledTable, col: _Collector) -> None:
+    for srcs in _by_sigma(tab):
+        cols = [(ids, {e[3:6]: e[6] for e in group}) for ids, group in srcs]
+        _feed(col, _colliding_dots(cols, cols, upper=True), lambda i, j: _names(tab, i) + _names(tab, j)[::2])
 
 
-def _scan_row_norm(t: _Index, col: _Collector, simplified: bool = False) -> None:
+def _scan_row_norm(tab: CompiledTable, col: _Collector, simplified: bool = False) -> None:
     """RVN over every (advancing, staying) tape symbol pair; RVN2 (``simplified``) over equal ones.
 
     A row sums the empty, single and double push terms of its advancing
@@ -285,9 +247,15 @@ def _scan_row_norm(t: _Index, col: _Collector, simplified: bool = False) -> None
     summed once per (state, tape symbol) and the staying terms are added
     to it one by one, which is the order the row sum has always used.
     """
-    states, tapes, syms = t.table.states, t.table.tapes, t.table.syms
-    taus = [(syms[tau1], syms[tau2]) for tau1 in t.dl for tau2 in t.dl]
-    pushes = [((), (tau2,), (tau1, tau2)) for tau1 in t.dl for tau2 in t.dl]
+    adv_in: dict = {}    # (q, sigma) -> {omega: sum |amp|^2}
+    stay_in: dict = {}   # (q, sigma) -> {omega: sum |amp|^2}
+    for _, sigma, _, q, d, omega, amp, _ in tab.entries:
+        bucket = (stay_in if d == STAY_ID else adv_in).setdefault((q, sigma), {})
+        bucket[omega] = bucket.get(omega, 0.0) + abs(amp) ** 2
+    states, tapes, syms = tab.states, tab.tapes, tab.syms
+    gam, dl = _declared(tab.tape_ok), _declared(tab.sym_ok)
+    taus = [(syms[tau1], syms[tau2]) for tau1 in dl for tau2 in dl]
+    pushes = [((), (tau2,), (tau1, tau2)) for tau1 in dl for tau2 in dl]
     zeros = [(0.0, 0.0, 0.0)] * len(taus)
 
     def terms(b: dict | None) -> list[tuple[float, float, float]]:
@@ -295,11 +263,11 @@ def _scan_row_norm(t: _Index, col: _Collector, simplified: bool = False) -> None
             return zeros
         return [(b.get(w0, 0.0), b.get(w1, 0.0), b.get(w2, 0.0)) for w0, w1, w2 in pushes]
 
-    for q in t.states:
-        stay = {s: terms(t.stay_in.get((q, s))) for s in t.gam}
-        for s1 in t.gam:
-            adv = [a0 + a1 + a2 for a0, a1, a2 in terms(t.adv_in.get((q, s1)))]
-            for s2 in (s1,) if simplified else t.gam:
+    for q in _declared(tab.state_ok):
+        stay = {s: terms(stay_in.get((q, s))) for s in gam}
+        for s1 in gam:
+            adv = [a0 + a1 + a2 for a0, a1, a2 in terms(adv_in.get((q, s1)))]
+            for s2 in (s1,) if simplified else gam:
                 head = (states[q], tapes[s1]) if simplified else (states[q], tapes[s1], tapes[s2])
                 for tt, a, (b0, b1, b2) in zip(taus, adv, stay[s2]):
                     r = abs(a + b0 + b1 + b2 - 1.0)
@@ -307,7 +275,7 @@ def _scan_row_norm(t: _Index, col: _Collector, simplified: bool = False) -> None
                         col.add(head + tt, r)
 
 
-def _scan_sep_shared_sigma(t: _Index, col_a: _Collector, col_b: _Collector) -> None:
+def _scan_sep_shared_sigma(tab: CompiledTable, col_a: _Collector, col_b: _Collector) -> None:
     """Stack-shift collisions between columns that read the same tape symbol.
 
     Part a pairs single pushes against two-symbol pushes and empty pushes
@@ -316,27 +284,27 @@ def _scan_sep_shared_sigma(t: _Index, col_a: _Collector, col_b: _Collector) -> N
     for configurations whose stacks differ in depth, which one table
     triple can realize on its own.
     """
-    for srcs in t.by_sigma:
-        for col, part in zip((col_a, col_b), _shift_sums(srcs, t.table.sym_ok, [_SAME])[0]):
-            _feed(col, part, lambda i1, i2, t3: t.names(i1) + t.names(i2)[::2] + (t.table.syms[t3],))
+    for srcs in _by_sigma(tab):
+        for col, part in zip((col_a, col_b), _shift_sums(srcs, tab.sym_ok, [_SAME])[0]):
+            _feed(col, part, lambda i1, i2, t3: _names(tab, i1) + _names(tab, i2)[::2] + (tab.syms[t3],))
 
 
-def _scan_sep_mixed(t: _Index, col2: _Collector, col3a: _Collector, col3b: _Collector) -> None:
+def _scan_sep_mixed(tab: CompiledTable, col2: _Collector, col3a: _Collector, col3b: _Collector) -> None:
     """Collisions between a staying source and an advancing source.
 
     SEP2 pairs equal push words; SEP3a/SEP3b pair push words that differ
     by one net symbol, in both direction assignments.
     """
     # SEP2 pairs a staying entry with an advancing one to the same (q, omega)
-    halves = [[(s.ids, {(q, w): a for (q, d, w), a in s.full.items() if d == want}) for s in t.sources]
+    srcs = list(tab.sources.items())
+    halves = [[(ids, {(e[3], e[5]): e[6] for e in group if e[4] == want}) for ids, group in srcs]
               for want in (STAY_ID, ADVANCE_ID)]
-    dots = _colliding_dots(*halves)
-    _feed(col2, dots, lambda i, j: t.names(i) + t.names(j))
-    by_pair = _shift_sums(t.sources, t.table.sym_ok, [{d1: d2} for d1, d2 in _MIXED])
+    _feed(col2, _colliding_dots(*halves), lambda i, j: _names(tab, i) + _names(tab, j))
+    by_pair = _shift_sums(srcs, tab.sym_ok, [{d1: d2} for d1, d2 in _MIXED])
     for part, col in enumerate((col3a, col3b)):
         sums = {key + (k,): v for k, pair in enumerate(by_pair) for key, v in pair[part].items()}
         _feed(col, sums, lambda i1, i2, t3, k:
-              t.names(i1) + t.names(i2) + (t.table.syms[t3], DIRECTIONS[_MIXED[k][0]].value))
+              _names(tab, i1) + _names(tab, i2) + (tab.syms[t3], DIRECTIONS[_MIXED[k][0]].value))
 
 
 # Each suite's scans in report order, each with the ids of the conditions it fills
@@ -365,12 +333,15 @@ def _collect(spec: QpaSpec, tol: float, max_reports: int, suite: str,
     """Run the suite's scans, or those of them in ``scans``; their collectors in suite order."""
     if suite == "simplified":
         _require_direction(spec)
-    t = _index(spec)
+    tab = spec.compiled()
+    if any(not (tab.state_ok[q1] and tab.tape_ok[sigma] and tab.sym_ok[tau]) or len(omega) > 2
+           for q1, sigma, tau, _, _, omega, _, _ in tab.entries):
+        raise StructureError(validate_structure(spec))
     out = []
     for scan, *ids in _SUITES[suite]:
         if scans is None or scan in scans:
             cols = [_Collector(i, tol, max_reports) for i in ids]
-            scan(t, *cols)
+            scan(tab, *cols)
             out += cols
     return out
 
@@ -441,14 +412,11 @@ def check_all(spec: QpaSpec, tol: float = DEFAULT_TOL,
 def as_general(spec: QpaSpec) -> QpaSpec:
     """View a simplified table as a plain one for the general suite.
 
-    The view keeps the spec's compiled table, run rows and suite index,
-    none of which depends on the kind; summaries are memoized per view.
+    The view shares the spec's compiled table, which does not depend on
+    the kind; summaries are memoized per view.
     """
-    spec.compiled()
     view = spec.replace(kind=KIND_GENERAL)
-    for attr in ("_compiled", "_int_table", "_wf_index"):
-        if attr in spec.__dict__:
-            object.__setattr__(view, attr, spec.__dict__[attr])
+    object.__setattr__(view, "_compiled", spec.compiled())
     return view
 
 

@@ -389,9 +389,8 @@ class TestSimplifiedSummary:
         assert capsys.readouterr().out == default
 
     def test_compile_dfa_reports_uncapped_total(self, files, tmp_path, capsys, monkeypatch):
-        import qpakit.cli as cli
         broken = load_qpa(_scaled_l5(tmp_path / "l5-scaled.json"))
-        monkeypatch.setattr(cli, "compile_dfa", lambda dfa: broken)
+        monkeypatch.setattr("qpakit.dfa2rpa.compile_dfa", lambda dfa: broken)
         assert main(["compile-dfa", files["dfa"], str(tmp_path / "out.json")]) == 3
         assert "failed 960 condition checks" in capsys.readouterr().err
 
@@ -553,7 +552,7 @@ class TestErrorBoundary:
     def test_run_checks_the_threshold_before_it_recognizes(self, files, capsys, monkeypatch):
         def unreachable(*args, **kwargs):
             raise AssertionError("recognized before the threshold was checked")
-        monkeypatch.setattr("qpakit.cli._fold", unreachable)
+        monkeypatch.setattr("qpakit.evolve._fold", unreachable)
         assert main(["run", files["l2"], "ab" * 50000, "--threshold", "2"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: threshold must lie in (0.5, 1]") and err.count("\n") == 1, err
@@ -562,7 +561,7 @@ class TestErrorBoundary:
     def test_batch_checks_the_csv_path_before_it_recognizes(self, dst, bad, capsys, monkeypatch):
         def unreachable(*args, **kwargs):
             raise AssertionError("recognized before the CSV path was checked")
-        monkeypatch.setattr("qpakit.cli.recognize", unreachable)
+        monkeypatch.setattr("qpakit.evolve.recognize", unreachable)
         assert main(["batch", bad["l2"], bad["words"], "--csv-out", bad[dst]]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: [Errno ") and err.count("\n") == 1 and bad[dst] in err, err

@@ -38,6 +38,14 @@ def _over(spec, word, amplitudes):
     return Superposition.over(spec, _tape(spec, word), amplitudes)
 
 
+class TestTapeContext:
+    def test_a_copy_is_checked(self):
+        tape = TapeContext(("#", "a", "$"))
+        assert tape._replace(symbols=("#", "b", "$")) == TapeContext(("#", "b", "$"))
+        with pytest.raises(ValueError, match="both end markers"):
+            tape._replace(symbols=("a",))
+
+
 class TestInitialSuperposition:
     def test_single_configuration(self):
         spec = zoo.l1_rpa().spec

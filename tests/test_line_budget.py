@@ -1,7 +1,7 @@
 """``src/qpakit`` stays within ROADMAP's line budget: new code pays for itself out of it."""
 from pathlib import Path
 
-LINE_BUDGET = 2927
+LINE_BUDGET = 2890
 
 
 def test_src_stays_within_the_line_budget():

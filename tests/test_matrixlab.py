@@ -144,6 +144,14 @@ class TestBuildMatrix:
         with pytest.raises(QpaError, match="not enumerated for this automaton"):
             build_matrix(zoo.l1_rpa().spec, w)
 
+    def test_a_window_copy_is_not_the_enumerated_window(self):
+        spec = zoo.l2_rpa().spec
+        w = enumerate_window(spec, "ab", 2)
+        copy = w._replace(stack_limit=w.stack_limit)
+        assert copy == w and copy.spec is None
+        with pytest.raises(QpaError, match="not enumerated for this automaton"):
+            build_matrix(spec, copy)
+
     def test_l2_interior_columns_orthonormal(self):
         spec = zoo.l2_rpa().spec
         w = enumerate_window(spec, "ab", 4)
@@ -240,6 +248,13 @@ class TestTruncatedUnitarity:
         # row -1 would wrap to row 1, and column 2 at dim 2 would read as a repeated position
         with pytest.raises(ValueError, match=rf"{what} index outside 0\.\.1"):
             TruncatedMatrix(2, rows, cols, [1.0] * len(rows), [0], [1])
+
+    def test_a_copy_is_checked(self):
+        m = TruncatedMatrix(2, [0, 1], [0, 1], [1.0, 1.0], [0, 1], [0, 1])
+        copy = m._replace(rows=[1, 0])
+        assert copy.rows.dtype == np.int64 and copy.rows.tolist() == [1, 0]
+        with pytest.raises(ValueError, match=r"row index outside 0\.\.1"):
+            m._replace(rows=[-1, 1])
 
     @pytest.mark.parametrize("interior_cols, interior_rows", [({-1}, {0}), ({0}, {-1}), ({5}, {0}), ({0}, {5})],
                              ids=["col-negative", "row-negative", "col-past-dim", "row-past-dim"])

@@ -311,6 +311,12 @@ class TestAlphabets:
         assert al.gamma == {"a", "#", "$"}
         assert al.delta_alpha == {"1", "Z0"}
 
+    def test_a_copy_is_checked(self):
+        al = Alphabets(sigma=frozenset({"a"}), t=frozenset({"1"}))
+        assert al._replace(t=frozenset({"2"})) == Alphabets(sigma=frozenset({"a"}), t=frozenset({"2"}))
+        with pytest.raises(SymbolError, match="reserved symbol '#'"):
+            al._replace(sigma=frozenset({"#"}))
+
 
 class TestSpecFromRows:
     AL = Alphabets(sigma=frozenset({"a"}), t=frozenset({"1"}))

@@ -6,6 +6,7 @@ import pytest
 
 from qpakit import zoo
 from qpakit.dfa2rpa import compile_dfa
+from qpakit.evolve import recognize
 from qpakit.model import DfaSpec, Direction, StructureError, validate_structure
 from qpakit.wellformed import (
     MissingDirectionError,
@@ -308,3 +309,23 @@ class TestUndeclaredSource:
             check_all(spec, suite=suite)
         assert err.value.violations == validate_structure(spec)
         assert err.value.violations
+
+
+class TestPushTooLong:
+    """A push word of three symbols has no place in the sums: the suite refuses it as the loader does."""
+
+    def _spec(self):
+        # two entries whose push words agree in their first two symbols
+        return make_spec(
+            sigma={"x"}, t={"1"}, states={"p"}, q0="p", q_acc=(), q_rej=(),
+            entries=[("p", "x", "1", "p", Direction.STAY, ("1", "1"), 0.6),
+                     ("p", "x", "1", "p", Direction.STAY, ("1", "1", "1"), 0.8)],
+        )
+
+    @pytest.mark.parametrize("call", [check_all, partial(recognize, word="x")], ids=["check_all", "recognize"])
+    def test_refused_with_the_structure_violations(self, call):
+        spec = self._spec()
+        with pytest.raises(StructureError, match="push word longer than 2") as err:
+            call(spec)
+        assert err.value.violations == validate_structure(spec)
+        assert "push-too-long" in [v.code for v in err.value.violations]

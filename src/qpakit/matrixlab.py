@@ -13,24 +13,25 @@ interior indices, where truncation cannot fake or hide a deviation:
   window and the head is not on the leftmost cell, a tape edge where
   configurations can lack advancing predecessors for structural
   reasons, as off-tape successors are a right-edge artifact.  The
-  window holds every declared state, head and stack up to its depth, so
-  a predecessor lies outside only by an entry from an undeclared state
-  or popping an undeclared symbol, or, into a full-depth row, by one
-  that pops a non-base symbol and pushes nothing.  An entry reaches a
-  row when it reads the row's cell (stay) or the one to its left
-  (advance), the stack ends with its push word and the base rule
-  holds, so the test is exact.
+  window holds every state, head and stack up to its depth, so a
+  predecessor lies outside only by an entry into a full-depth row that
+  pops a non-base symbol and pushes nothing.
 
 The lab reads a spec's transitions only through its compiled table: its
-declared ids, run rows (the columns) and entries (the interior rows).  A
-window holds only its layout (sorted states, the tape's heads, the stacks,
-enumerated once in sorted order), and its columns are stepped as arrays
-over that layout: a configuration's successor is index arithmetic on its
-position.  The ``configs`` and ``index`` views are built on first access,
-and nothing on the way to the matrix and its check reads them.  Deviations
-are judged against the condition suite's tolerance, ``model.DEFAULT_TOL`` by
-default, so a table and its windows get one verdict.  Documentation elsewhere
-labels rows and columns 1-based; all indices in this module are 0-based.
+ids, run rows (the columns) and entries (the interior rows).  A table
+that holds an undeclared name (``CompiledTable.declared``) is refused
+with ``StructureError`` and the structure check's violations, as
+``check_all`` refuses it.  A window holds only its layout (sorted states, the tape's
+heads, the stacks, enumerated once in sorted order), and its columns are
+stepped as arrays over that layout: a configuration's successor is index
+arithmetic on its position.  The ``configs`` and ``index`` views are built
+on first access, and nothing on the way to the matrix and its check reads
+them.  Deviations are judged against the condition suite's tolerance,
+``model.DEFAULT_TOL`` by default, so a table and its windows get one
+verdict, but for the tape ends: head-0 rows and branches past ``$`` are
+boundary, so a defect in an entry on ``#`` or advancing off ``$`` can
+fail the suite and pass every window.  Documentation elsewhere labels rows
+and columns 1-based; all indices in this module are 0-based.
 """
 from __future__ import annotations
 
@@ -41,7 +42,8 @@ from itertools import product
 import numpy as np
 
 from .evolve import Configuration, TapeContext, _Run, _table
-from .model import ADVANCE_ID, DEFAULT_TOL, STAY_ID, QpaError, QpaSpec, _Record, cached_on, check_tolerance
+from .model import (ADVANCE_ID, DEFAULT_TOL, STAY_ID, QpaError, QpaSpec, StructureError, _Record, cached_on,
+                    check_tolerance, validate_structure)
 
 WINDOW_CAP = 10 ** 6
 TEXT_MAX_DIM = 24          # largest dimension matrix_to_text prints as a grid
@@ -146,13 +148,15 @@ class _Steps:
     Per entry, in table order: ``entries``, ``adv``, ``target``, ``pops``, ``push`` (child-table columns,
     see ``enumerate_window``, padded with -1), ``amp`` and ``based``.  Group ``g`` is the rows of the (state,
     tape, top) ids coded ``codes[g]``, ascending: ``count[g]`` entries from ``start[g]``; the group after the
-    last is empty, under a sentinel code.  ``slot`` is a state id's place in a window, -1 if undeclared.
+    last is empty, under a sentinel code.
     """
 
     def __init__(self, spec: QpaSpec):
         table = _table(spec)
         self.ids = ids = table.ids
-        self.digits = [y for y, ok in enumerate(ids.sym_ok) if ok and y != ids.base]
+        if not ids.declared:
+            raise StructureError(validate_structure(spec))
+        self.digits = [y for y in range(len(ids.syms)) if y != ids.base]
         col = {y: i for i, y in enumerate(self.digits)}
         self.entries = es = [e for q, t, y in ids.sources for e in table.rows[t][q][y]]
         self.codes = np.array([(q * len(ids.tapes) + t) * len(ids.syms) + y for q, t, y in ids.sources] + [2 ** 62])
@@ -165,13 +169,10 @@ class _Steps:
         w = max((len(e[2]) for e in es), default=0)
         self.push = np.array([[col.get(y, len(col)) for y in e[2]] + [-1] * (w - len(e[2])) for e in es],
                              dtype=np.int64).reshape(len(es), w)
-        self.slot = np.where(ids.state_ok, np.cumsum(ids.state_ok) - 1, -1)
         # the entries whose source can lie outside a window (module docstring), by (q, sigma, d) ids
-        self.deeper, self.outside = np.zeros((len(ids.states), len(ids.tapes), 2), dtype=bool), {}
-        for q1, sigma, tau, q, d, omega, _, _ in ids.entries:
-            if not (ids.state_ok[q1] and ids.sym_ok[tau]):
-                self.outside.setdefault((q, sigma, d), []).append((tuple(ids.syms[y] for y in omega), tau == ids.base))
-            elif tau != ids.base and not omega:
+        self.deeper = np.zeros((len(ids.states), len(ids.tapes), 2), dtype=bool)
+        for _, sigma, tau, q, d, omega, _, _ in ids.entries:
+            if tau != ids.base and not omega:
                 self.deeper[q, sigma, d] = True
 
 
@@ -182,7 +183,8 @@ def enumerate_window(spec: QpaSpec, word: str, radius: int, cap: int = WINDOW_CA
     steps plus one padding layer, so depth-``radius + 1`` rows and
     columns can still be interior.  Interior sets are computed exactly
     from the transition relation, never guessed from index position.
-    More than ``cap`` configurations, or stack symbols in all, is a ``WindowCapError``.
+    More than ``cap`` configurations, or stack symbols in all, is a ``WindowCapError``, and a
+    table that holds an undeclared name a ``StructureError``.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -218,29 +220,21 @@ def enumerate_window(spec: QpaSpec, word: str, radius: int, cap: int = WINDOW_CA
 
     # configuration b * n_stacks + j is block b = (state, head) on stack j; its
     # group codes the block's state and tape ids with stack j's top
-    states = [q for q, ok in enumerate(ids.state_ok) if ok]
     tape_ids = [ids.tape_id[c] for c in tape.symbols]
-    codes = np.add.outer(np.add.outer(np.multiply(states, len(ids.tapes)), tape_ids) * len(ids.syms),
+    codes = np.add.outer(np.add.outer(np.arange(len(ids.states)) * len(ids.tapes), tape_ids) * len(ids.syms),
                          np.array(digits + [ids.base])[digit]).ravel()
     at = np.searchsorted(steps.codes, codes)
-    layout = (spec, steps, tape, states, stacks, parent, inner, child)
+    layout = (spec, steps, tape, stacks, parent, inner, child)
     rows, cols, vals, boundary = step_targets(layout, np.where(steps.codes[at] == codes, at, -1))
 
-    # Interior rows, a mask over the stacks per block: head 0 is boundary, and so is full
-    # depth where a ``deeper`` entry leads in; blocks that ``outside`` entries reach are tested
-    interior = np.ones((len(states), len(tape), n_stacks), dtype=bool)
+    # Interior rows, a mask over the stacks per block: head 0 is boundary, and so is
+    # full depth where a ``deeper`` entry leads in
+    interior = np.ones((len(ids.states), len(tape), n_stacks), dtype=bool)
     interior[:, 0] = False
-    deeper = steps.deeper[states]
-    full = deeper[:, tape_ids[1:], STAY_ID] | deeper[:, tape_ids[:-1], ADVANCE_ID]
+    full = steps.deeper[:, tape_ids[1:], STAY_ID] | steps.deeper[:, tape_ids[:-1], ADVANCE_ID]
     interior[:, 1:] &= ~full[..., None] | short
-    for (b, q), h in product(enumerate(states) if steps.outside else (), range(1, len(tape))):
-        cells = ((q, tape_ids[h], STAY_ID), (q, tape_ids[h - 1], ADVANCE_ID))
-        foreign = [e for cell in cells for e in steps.outside.get(cell, ())]
-        if foreign:
-            interior[b, h] &= [not any(s[len(s) - len(w):] == w and based == (len(s) == len(w))
-                                       for w, based in foreign) for s in stacks]
 
-    return ConfigWindow(tape=tape, states=tuple(ids.states[q] for q in states), stacks=tuple(stacks),
+    return ConfigWindow(tape=tape, states=tuple(ids.states), stacks=tuple(stacks),
                         interior_cols=frozenset(np.flatnonzero(~boundary).tolist()),
                         interior_rows=frozenset(np.flatnonzero(interior).tolist()),
                         stack_limit=stack_limit, spec=spec, entries=(rows, cols, vals))
@@ -249,12 +243,12 @@ def enumerate_window(spec: QpaSpec, word: str, radius: int, cap: int = WINDOW_CA
 def step_targets(layout: tuple, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One step of every configuration of a window, as one pass over its layout.
 
-    ``layout`` is ``(spec, steps, tape, states, stacks, parent, inner, child)`` as ``enumerate_window`` lays
+    ``layout`` is ``(spec, steps, tape, stacks, parent, inner, child)`` as ``enumerate_window`` lays
     it out, and ``groups[c]`` is column ``c``'s group of ``_Steps`` rows.  Returns the entries inside the
     window, ``(rows, cols, amplitudes)`` in column and then table order, and the mask of boundary columns:
     those with a successor outside the window, or with a branch past the end marker, which has no target.
     """
-    spec, steps, tape, states, stacks, parent, inner, child = layout
+    spec, steps, tape, stacks, parent, inner, child = layout
     n = steps.count[groups]
     cols = np.repeat(np.arange(len(groups)), n)
     e = np.repeat(steps.start[groups] - (np.cumsum(n) - n), n) + np.arange(len(cols))
@@ -266,15 +260,15 @@ def step_targets(layout: tuple, groups: np.ndarray) -> tuple[np.ndarray, np.ndar
         i = lost[0]
         q, h = divmod(int(block[i]), len(tape))
         run = _Run(spec, tape)
-        key = run.key(Configuration(steps.ids.states[states[q]], h, stacks[stack[i]]))
+        key = run.key(Configuration(steps.ids.states[q], h, stacks[stack[i]]))
         raise run.step_error(key, None, [steps.entries[e[i]]])
     s = np.where(steps.pops[e], parent[stack], stack)
     for pushed in steps.push[e].T:
         s = np.where(pushed < 0, s, child[inner[s], pushed])
-    state = steps.slot[steps.target[e]]
-    inside = ~past & (state >= 0) & (s < len(stacks))
+    inside = ~past & (s < len(stacks))
     boundary = np.bincount(cols[~inside], minlength=len(groups)) > 0
-    return ((state * len(tape) + head) * len(stacks) + s)[inside], cols[inside], steps.amp[e[inside]], boundary
+    at = (steps.target[e] * len(tape) + head) * len(stacks) + s
+    return at[inside], cols[inside], steps.amp[e[inside]], boundary
 
 
 def build_matrix(spec: QpaSpec, window: ConfigWindow) -> TruncatedMatrix:

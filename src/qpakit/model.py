@@ -248,7 +248,8 @@ class CompiledTable:
     An id is a place in ``states``, ``tapes`` or ``syms``: sorted lists of
     the declared names, the initial state and any undeclared name an entry
     uses.  ``state_ok``, ``tape_ok`` and ``sym_ok`` flag the declared ids
-    (markers and base included), ``base`` is the base symbol's id.
+    (markers and base included), and ``declared`` says that every id is;
+    ``base`` is the base symbol's id.
     ``entries`` are ``(q1, sigma, tau, q, d, omega, amp, key)``, ids for
     names, ``d`` a place in ``DIRECTIONS``, in ``TransitionKey`` order;
     ``sources`` groups them as ``{(q1, sigma, tau): entries}``.
@@ -271,6 +272,11 @@ class CompiledTable:
         self.entries = sorted(
             (sid[k.q1], tid[k.sigma], yid[k.tau], sid[k.q], _DIR_ID[k.d], wid[k.omega], amp, k)
             for k, amp in delta.items())
+
+    @cached_property
+    def declared(self) -> bool:
+        """Every state, tape symbol and stack symbol the table holds is declared, the initial state too."""
+        return all(self.state_ok) and all(self.tape_ok) and all(self.sym_ok)
 
     @cached_property
     def sources(self) -> dict[tuple[int, int, int], list[tuple]]:

@@ -28,10 +28,10 @@ deliberately not skipped.
 The scans read the spec's compiled table (``QpaSpec.compiled``): its
 entries grouped by source, keyed by ids.  Each scan builds only the maps
 it sums over.  Compiled ids follow sorted names, so id order is the
-exhaustive loop's order.  An entry whose source uses an undeclared state, tape
-symbol or popped symbol has no place in the loop, and one that pushes
-more than two symbols has none in the sums, so ``check_all`` raises
-``StructureError`` with the structure check's violations.
+exhaustive loop's order.  The loop runs over every id, so ``check_all``
+refuses a table that holds an undeclared name (``CompiledTable.declared``,
+the matrix lab's rule too) or a push word of more than two symbols, with
+``StructureError`` and the structure check's violations.
 """
 from __future__ import annotations
 
@@ -53,6 +53,7 @@ from .model import (
     StructureError,
     cached_on,
     check_tolerance,
+    quote_all,
     validate_structure,
 )
 
@@ -173,11 +174,11 @@ def _colliding_dots(left: list[tuple[int, dict]], right: list[tuple[int, dict]],
             for j in {j for k in col for j in index.get(k, ()) if j > i or not upper}}
 
 
-def _shift_sums(srcs: list[tuple], declared: list, turns: list[dict]) -> list[tuple[dict, dict]]:
+def _shift_sums(srcs: list[tuple], turns: list[dict]) -> list[tuple[dict, dict]]:
     """Stack-shift inner products between the ``(ids, group)`` sources ``srcs``, by their ids.
 
     The first column pushes one symbol fewer than its partner, which pushes
-    the declared stack symbol ``t3`` on top.  Part a pairs single against
+    the stack symbol ``t3`` on top.  Part a pairs single against
     two-symbol pushes and empty against single pushes; part b pairs empty
     pushes against two-symbol pushes that re-push the partner's popped
     symbol.  A turn maps the direction of a first-column entry to the
@@ -189,13 +190,12 @@ def _shift_sums(srcs: list[tuple], declared: list, turns: list[dict]) -> list[tu
     by_tau2: dict = {}   # (q, d) -> [(i2, t3, amp)] of two-symbol pushes over tau2
     for i2, group in srcs:
         for _, _, tau2, q, d, omega, b, _ in group:
-            if len(omega) == 1 and declared[omega[0]]:
+            if len(omega) == 1:
                 by_qd.setdefault((q, d), []).append((i2, omega[0], b))
             elif len(omega) == 2:
                 s0, s1 = omega
-                if declared[s0]:
-                    by_last.setdefault((q, d, s1), []).append((i2, s0, b))
-                if s0 == tau2 and declared[s1]:
+                by_last.setdefault((q, d, s1), []).append((i2, s0, b))
+                if s0 == tau2:
                     by_tau2.setdefault((q, d), []).append((i2, s1, b))
 
     def accumulate(part: dict, i1: int, a: complex, partners) -> None:
@@ -221,15 +221,10 @@ def _shift_sums(srcs: list[tuple], declared: list, turns: list[dict]) -> list[tu
     return out
 
 
-def _declared(flags: list) -> list[int]:
-    return [i for i, ok in enumerate(flags) if ok]
-
-
 def _scan_local_probability(tab: CompiledTable, col: _Collector) -> None:
     norms = {ids: sum(abs(e[6]) ** 2 for e in group) for ids, group in tab.sources.items()}
-    states, gam, dl = _declared(tab.state_ok), _declared(tab.tape_ok), _declared(tab.sym_ok)
-    names = product([tab.states[q] for q in states], [tab.tapes[s] for s in gam], [tab.syms[y] for y in dl])
-    for src, key in zip(names, product(states, gam, dl)):
+    keys = product(*map(range, (len(tab.states), len(tab.tapes), len(tab.syms))))
+    for src, key in zip(product(tab.states, tab.tapes, tab.syms), keys):
         col.add(src, abs(norms.get(key, 0) - 1.0))
 
 
@@ -253,7 +248,7 @@ def _scan_row_norm(tab: CompiledTable, col: _Collector, simplified: bool = False
         bucket = (stay_in if d == STAY_ID else adv_in).setdefault((q, sigma), {})
         bucket[omega] = bucket.get(omega, 0.0) + abs(amp) ** 2
     states, tapes, syms = tab.states, tab.tapes, tab.syms
-    gam, dl = _declared(tab.tape_ok), _declared(tab.sym_ok)
+    gam, dl = range(len(tapes)), range(len(syms))
     taus = [(syms[tau1], syms[tau2]) for tau1 in dl for tau2 in dl]
     pushes = [((), (tau2,), (tau1, tau2)) for tau1 in dl for tau2 in dl]
     zeros = [(0.0, 0.0, 0.0)] * len(taus)
@@ -263,7 +258,7 @@ def _scan_row_norm(tab: CompiledTable, col: _Collector, simplified: bool = False
             return zeros
         return [(b.get(w0, 0.0), b.get(w1, 0.0), b.get(w2, 0.0)) for w0, w1, w2 in pushes]
 
-    for q in _declared(tab.state_ok):
+    for q in range(len(states)):
         stay = {s: terms(stay_in.get((q, s))) for s in gam}
         for s1 in gam:
             adv = [a0 + a1 + a2 for a0, a1, a2 in terms(adv_in.get((q, s1)))]
@@ -285,7 +280,7 @@ def _scan_sep_shared_sigma(tab: CompiledTable, col_a: _Collector, col_b: _Collec
     triple can realize on its own.
     """
     for srcs in _by_sigma(tab):
-        for col, part in zip((col_a, col_b), _shift_sums(srcs, tab.sym_ok, [_SAME])[0]):
+        for col, part in zip((col_a, col_b), _shift_sums(srcs, [_SAME])[0]):
             _feed(col, part, lambda i1, i2, t3: _names(tab, i1) + _names(tab, i2)[::2] + (tab.syms[t3],))
 
 
@@ -300,7 +295,7 @@ def _scan_sep_mixed(tab: CompiledTable, col2: _Collector, col3a: _Collector, col
     halves = [[(ids, {(e[3], e[5]): e[6] for e in group if e[4] == want}) for ids, group in srcs]
               for want in (STAY_ID, ADVANCE_ID)]
     _feed(col2, _colliding_dots(*halves), lambda i, j: _names(tab, i) + _names(tab, j))
-    by_pair = _shift_sums(srcs, tab.sym_ok, [{d1: d2} for d1, d2 in _MIXED])
+    by_pair = _shift_sums(srcs, [{d1: d2} for d1, d2 in _MIXED])
     for part, col in enumerate((col3a, col3b)):
         sums = {key + (k,): v for k, pair in enumerate(by_pair) for key, v in pair[part].items()}
         _feed(col, sums, lambda i1, i2, t3, k:
@@ -325,7 +320,7 @@ def _require_direction(spec: QpaSpec) -> None:
         raise MissingDirectionError("simplified conditions need a total direction function")
     missing = spec.states - set(spec.direction_fn)
     if missing:
-        raise MissingDirectionError(f"direction undefined for {sorted(missing)}")
+        raise MissingDirectionError(f"direction undefined for {quote_all(sorted(missing))}")
 
 
 def _collect(spec: QpaSpec, tol: float, max_reports: int, suite: str,
@@ -334,8 +329,7 @@ def _collect(spec: QpaSpec, tol: float, max_reports: int, suite: str,
     if suite == "simplified":
         _require_direction(spec)
     tab = spec.compiled()
-    if any(not (tab.state_ok[q1] and tab.tape_ok[sigma] and tab.sym_ok[tau]) or len(omega) > 2
-           for q1, sigma, tau, _, _, omega, _, _ in tab.entries):
+    if not tab.declared or any(len(e[5]) > 2 for e in tab.entries):
         raise StructureError(validate_structure(spec))
     out = []
     for scan, *ids in _SUITES[suite]:

@@ -103,6 +103,18 @@ class TestDocumentValidation:
         with pytest.raises(ParseError, match="unknown fields"):
             qpa_from_dict(doc)
 
+    def test_transition_that_is_not_an_object(self):
+        doc = self._minimal()
+        doc["transitions"] = [["q", "a", "1", "q", "advance", "1", "1"]]
+        with pytest.raises(ParseError, match="transition 0 must be an object"):
+            qpa_from_dict(doc)
+
+    def test_missing_transition_fields(self):
+        doc = self._minimal()
+        doc["transitions"] = [{"from": "q", "input": "a", "stack_top": "1", "to": "q", "dir": "advance"}]
+        with pytest.raises(ParseError, match=r"transition 0: missing fields \['amp', 'push'\]"):
+            qpa_from_dict(doc)
+
     def test_direction_required_for_simplified(self):
         doc = self._minimal()
         doc["kind"] = "simplified"

@@ -9,13 +9,14 @@ import cmath
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qpakit import matrixlab, zoo
 from qpakit.dfa2rpa import compile_dfa
 from qpakit.evolve import Configuration
-from qpakit.model import Direction, QpaError, STACK_BASE
+from qpakit.model import Direction, QpaError, STACK_BASE, StructureError, validate_structure
+from qpakit.wellformed import check_all
 
 from conftest import enumerate_push_words, make_spec, random_total_dfa, words_up_to
 import evolve_oracle
@@ -44,6 +45,16 @@ def assert_same(spec, word, radius):
     assert got[1] == want[1], (word, radius)
     assert got[2] == want[2], (word, radius)
     return got[0]
+
+
+def assert_refused(spec, word, radius):
+    """The lab and the condition suite both refuse ``spec`` with the structure check's violations."""
+    want = validate_structure(spec)
+    assert want
+    for judge in (lambda: matrixlab.enumerate_window(spec, word, radius), lambda: check_all(spec)):
+        with pytest.raises(StructureError) as err:
+            judge()
+        assert err.value.violations == want
 
 
 @pytest.mark.parametrize("name", ["l1", "l2", "nonunitary"])
@@ -100,26 +111,26 @@ DECLARED = ("p", "q")
 
 
 @st.composite
-def random_tables(draw):
-    """Unvalidated tables built directly: pops of every symbol, push words of up to
-    four symbols, sources and targets outside the declared states, advances off
-    the right marker and, in some tables, entries that lose the stack base."""
+def random_tables(draw, states=DECLARED, pops=(Z, "1", "2")):
+    """Unvalidated tables built directly over ``states`` and ``pops``: push words of
+    up to four symbols, advances off the right marker and, in some tables, entries
+    that lose the stack base.  Only ``DECLARED`` states and ``Z0``, 1 and 2 are declared."""
     loses = draw(st.booleans())
     entries = []
-    for q1 in (*DECLARED, "u"):
+    for q1 in states:
         for sigma in ("#", "x", "$"):
-            for tau in (Z, "1", "2", "9"):
+            for tau in pops:
                 if tau == Z:
                     pushes = [(Z,), (Z, "1"), (Z, "2", "1"), (Z, "1", "2", "2")]
                     bad = [(), ("1",), (Z, Z)]
                 else:
                     pushes = [(), (tau,), ("1",), ("2", "1"), (tau, "1", "2"), ("1", "1", "2", "2")]
                     bad = [(Z,), ("1", Z)]
-                if loses or q1 == "u":
+                if loses:
                     pushes += bad
                 for _ in range(draw(st.integers(0, 2))):
                     amp = cmath.rect(draw(st.floats(0.1, 1.0)), draw(st.floats(0, 6.3)))
-                    entries.append((q1, sigma, tau, draw(st.sampled_from((*DECLARED, "u"))),
+                    entries.append((q1, sigma, tau, draw(st.sampled_from(states)),
                                     draw(st.sampled_from(list(Direction))),
                                     draw(st.sampled_from(pushes)), amp))
     return make_spec(sigma={"x"}, t={"1", "2"}, states=set(DECLARED), q0="p",
@@ -132,31 +143,42 @@ def test_random_tables(spec, n, radius):
     assert_same(spec, "x" * n, radius)
 
 
+@settings(max_examples=50, deadline=None)
+@given(spec=random_tables(states=(*DECLARED, "u"), pops=(Z, "1", "2", "9")), n=st.integers(0, 2),
+       radius=st.integers(0, 2))
+def test_random_tables_that_hold_an_undeclared_name_are_refused(spec, n, radius):
+    """A source or target ``u``, or a pop of ``9`` (and so a push of it)."""
+    assume(not spec.compiled().declared)
+    assert_refused(spec, "x" * n, radius)
+
+
+def p_table(entries):
+    """A table over the one state p, the input symbol x and the stack symbol 1."""
+    return make_spec(sigma={"x"}, t={"1"}, states={"p"}, q0="p", q_acc=(), q_rej=(), entries=entries)
+
+
 def test_pop_from_outside_the_declared_states():
-    """A base pop from an undeclared state steps no window configuration, and a
-    pop of a stack symbol with an empty push word makes full-depth rows boundary."""
-    spec = make_spec(sigma={"x"}, t={"1"}, states={"p"}, q0="p", q_acc=(), q_rej=(), entries=[
-        ("u", "x", Z, "p", Direction.STAY, (), 1.0),
-        ("u", "#", Z, "p", Direction.ADVANCE, (), 1.0),
-        ("p", "$", "1", "p", Direction.STAY, (), 1.0),
-        ("p", "x", Z, "p", Direction.ADVANCE, (Z, "1"), 1.0),
-    ])
+    """A pop of a stack symbol with an empty push word makes full-depth rows boundary;
+    base pops from an undeclared state beside it make the table refused."""
+    entries = [("p", "$", "1", "p", Direction.STAY, (), 1.0), ("p", "x", Z, "p", Direction.ADVANCE, (Z, "1"), 1.0)]
+    outside = [("u", "x", Z, "p", Direction.STAY, (), 1.0), ("u", "#", Z, "p", Direction.ADVANCE, (), 1.0)]
     for radius in range(3):
-        assert assert_same(spec, "xx", radius) == "ok"
+        assert assert_same(p_table(entries), "xx", radius) == "ok"
+        assert_refused(p_table(outside + entries), "xx", radius)
 
 
 def test_predecessor_from_an_undeclared_state_makes_a_row_boundary():
-    """Row (p, 1, Z0 1) has two unit predecessors in the true operator: its own
-    copy, and (u, 1, Z0 1), whose state is not declared and so lies outside."""
+    """Row (p, 1, Z0 1) is interior; an entry from the undeclared state u into it
+    would be a predecessor no window holds, and its table is refused."""
     entries = [("p", s, tau, "p", Direction.STAY, (tau,), 1.0) for s in ("#", "x", "$") for tau in (Z, "1")]
-    spec = make_spec(sigma={"x"}, t={"1"}, states={"p"}, q0="p", q_acc=(), q_rej=(),
-                     entries=[*entries, ("u", "x", "1", "p", Direction.STAY, ("1",), 1.0)])
+    spec = p_table(entries)
+    ghost = p_table([*entries, ("u", "x", "1", "p", Direction.STAY, ("1",), 1.0)])
     row = Configuration("p", 1, (Z, "1"))
     for radius in range(3):
         assert assert_same(spec, "x", radius) == "ok"
-        for lab in (matrixlab, oracle):
-            w = lab.enumerate_window(spec, "x", radius)
-            assert w.index[row] not in w.interior_rows, (lab.__name__, radius)
+        w = matrixlab.enumerate_window(spec, "x", radius)
+        assert w.index[row] in w.interior_rows, radius
+        assert_refused(ghost, "x", radius)
 
 
 @pytest.mark.parametrize("entries", [
@@ -207,19 +229,11 @@ def test_a_long_push_one_below_full_depth_leaves_its_column_boundary_with_its_in
 
 
 def test_a_target_in_an_undeclared_state_leaves_its_column_boundary():
+    """A target no window holds: the table is refused rather than judged."""
     amp = 2 ** -0.5
-    spec = make_spec(sigma={"x"}, t={"1"}, states={"p"}, q0="p", q_acc=(), q_rej=(), entries=[
-        ("p", "x", Z, "u", Direction.STAY, (Z,), amp),
-        ("p", "x", Z, "p", Direction.ADVANCE, (Z, "1"), amp),
-    ])
+    spec = p_table([("p", "x", Z, "u", Direction.STAY, (Z,), amp), ("p", "x", Z, "p", Direction.ADVANCE, (Z, "1"), amp)])
     for radius in range(3):
-        assert assert_same(spec, "x", radius) == "ok"
-        w = matrixlab.enumerate_window(spec, "x", radius)
-        dense = matrixlab.build_matrix(spec, w).to_dense()
-        col = w.index[Configuration("p", 1, (Z,))]
-        row = w.index[Configuration("p", 2, (Z, "1"))]
-        assert col not in w.interior_cols
-        assert dense[:, col].tolist() == [amp if i == row else 0 for i in range(len(w))]
+        assert_refused(spec, "x", radius)
 
 
 def test_predecessors_invert_successors():

@@ -9,6 +9,7 @@ from qpakit import matrixlab, zoo
 from qpakit.dfa2rpa import compile_dfa
 from qpakit.evolve import Configuration, apply_evolution
 from qpakit.matrixlab import (
+    TEXT_MAX_DIM,
     WINDOW_CAP,
     TruncatedMatrix,
     WindowCapError,
@@ -18,6 +19,7 @@ from qpakit.matrixlab import (
     check_truncated_unitarity,
     enumerate_window,
     matrix_to_dict,
+    matrix_to_text,
 )
 from qpakit.model import DEFAULT_TOL, Direction, QpaError, STACK_BASE
 
@@ -526,6 +528,12 @@ class TestDualityUnderMutation:
 
 
 class TestDump:
+    def test_text_grid_up_to_its_largest_dimension(self):
+        grid = matrix_to_text(shift_fixture(TEXT_MAX_DIM)).splitlines()
+        assert len(grid) == TEXT_MAX_DIM and grid[1].split()[:2] == ["0.7071", "0.0000"]
+        too_large = TEXT_MAX_DIM + 1
+        assert matrix_to_text(shift_fixture(too_large)) == f"<{too_large}x{too_large} matrix; too large to print>"
+
     def test_triplets_round_shape(self):
         m = shift_fixture(5)
         doc = matrix_to_dict(m)

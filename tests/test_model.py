@@ -299,6 +299,16 @@ class TestDfaValidate:
                 finals=frozenset({"s0"}), trans={("s0", "0"): "s0"}).validate()
 
 
+class TestImmutability:
+    def test_spec_and_record_fields_cannot_be_assigned(self):
+        spec = zoo.l1_rpa().spec
+        with pytest.raises(AttributeError, match="cannot assign to 'q0': a QpaSpec is immutable"):
+            spec.q0 = "q1"
+        with pytest.raises(AttributeError, match="cannot assign to 'sigma': a Alphabets is immutable"):
+            spec.alphabets.sigma = frozenset()
+        assert spec.q0 == zoo.l1_rpa().spec.q0
+
+
 class TestAlphabets:
     def test_reserved_symbols_rejected(self):
         with pytest.raises(SymbolError):

@@ -7,6 +7,7 @@ import pytest
 from qpakit import zoo
 from qpakit.dfa2rpa import compile_dfa
 from qpakit.evolve import recognize
+from qpakit.matrixlab import enumerate_window
 from qpakit.model import DfaSpec, Direction, StructureError, validate_structure
 from qpakit.wellformed import (
     MissingDirectionError,
@@ -134,6 +135,12 @@ class TestSimplifiedSuite:
     def test_requires_direction_function(self):
         with pytest.raises(MissingDirectionError):
             check_all(zoo.nonunitary_example(), suite="simplified")
+
+    def test_a_partial_direction_function_names_the_states_it_misses(self):
+        spec = zoo.l2_rpa().spec
+        partial_fn = {q: d for q, d in spec.direction_fn.items() if q != "q0"}
+        with pytest.raises(MissingDirectionError, match=r"^direction undefined for \['q0'\]$"):
+            check_all(spec.replace(direction_fn=partial_fn), suite="simplified")
 
 
 class TestCheckAll:
@@ -281,6 +288,12 @@ class TestSuiteArgument:
         with pytest.raises(MissingDirectionError):
             check_all(zoo.nonunitary_example(), suite="simplified")
 
+    def test_result_of_an_unknown_condition(self):
+        summary = check_all(zoo.l2_rpa().spec)
+        assert summary.result("LPC2").condition_id == "LPC2"
+        with pytest.raises(KeyError, match="LPC"):
+            summary.result("LPC")
+
     def test_unknown_suite(self):
         with pytest.raises(ValueError, match="suite"):
             check_all(zoo.l2_rpa().spec, suite="partial")
@@ -294,21 +307,32 @@ def test_memo_keeps_int_and_float_tolerances_apart():
 
 
 class TestUndeclaredSource:
-    """A table built in code may store entries the loader would refuse."""
+    """A table built in code may hold names the loader would refuse: the suite and the
+    matrix lab both refuse it, whichever name is undeclared."""
 
-    @pytest.mark.parametrize("source", [("u", "x", "1"), ("p", "y", "1"), ("p", "x", "9")],
-                             ids=["state", "tape-symbol", "popped-symbol"])
+    @pytest.mark.parametrize("entry, q0", [
+        (("u", "x", "1", "p", ("1",)), "p"),
+        (("p", "y", "1", "p", ("1",)), "p"),
+        (("p", "x", "9", "p", ("1",)), "p"),
+        (("p", "x", "1", "u", ("1",)), "p"),
+        (("p", "x", "1", "p", ("1", "9")), "p"),
+        (("p", "x", "1", "p", ("1",)), "u"),
+    ], ids=["state", "tape-symbol", "popped-symbol", "target-state", "push-symbol", "initial-state"])
     @pytest.mark.parametrize("suite", ["general", "simplified"])
-    def test_check_all_raises_the_structure_violations(self, source, suite):
+    def test_check_all_raises_the_structure_violations(self, entry, q0, suite):
+        q1, sigma, tau, q, omega = entry
         spec = make_spec(
-            sigma={"x"}, t={"1"}, states={"p"}, q0="p", q_acc=(), q_rej=(),
-            entries=[(*source, "p", Direction.STAY, ("1",), 1.0)],
+            sigma={"x"}, t={"1"}, states={"p"}, q0=q0, q_acc=(), q_rej=(),
+            entries=[(q1, sigma, tau, q, Direction.STAY, omega, 1.0)],
             kind="simplified", directions={"p": Direction.STAY},
         )
         with pytest.raises(StructureError) as err:
             check_all(spec, suite=suite)
         assert err.value.violations == validate_structure(spec)
         assert err.value.violations
+        with pytest.raises(StructureError) as err:
+            enumerate_window(spec, "x", 1)
+        assert err.value.violations == validate_structure(spec)
 
 
 class TestPushTooLong:
